@@ -9,7 +9,7 @@ a single per-record leakage score; closed-form curves live in
 scores, canary selection, and a white-box training harness.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from ._util import ConfigError, NumericalError
 from .dist import (

@@ -3,8 +3,9 @@
 A :class:`ProductDistribution` is a product of one-dimensional column laws
 (Bernoulli or Gaussian). It owns the mean vector ``mu`` and the diagonal
 covariance ``sigma2`` that every attack score and closed-form leakage
-formula is built on, and it knows how to sample datasets and measure the
-Mahalanobis geometry of a candidate target record.
+formula is built on, and it knows how to sample datasets or only their
+column sums, and how to measure the Mahalanobis geometry of a candidate
+target record.
 """
 
 from __future__ import annotations
@@ -116,6 +117,13 @@ class ProductDistribution:
         self._all_bernoulli = all(isinstance(c, Bernoulli) for c in columns)
         if self._all_bernoulli:
             self._p32 = mu.astype(np.float32)
+        self._bern = np.array(
+            [i for i, c in enumerate(columns) if isinstance(c, Bernoulli)], dtype=np.intp
+        )
+        self._gauss = np.array(
+            [i for i, c in enumerate(columns) if isinstance(c, Gaussian)], dtype=np.intp
+        )
+        self._gauss_sd = np.sqrt(sigma2[self._gauss])
 
     # -- construction helpers -------------------------------------------------
 
@@ -221,17 +229,35 @@ class ProductDistribution:
             u = rng.random((n, self.d), dtype=np.float32)
             return np.less(u, self._p32).view(np.uint8)
         out = np.empty((n, self.d), dtype=np.float64)
-        bern = np.array(
-            [i for i, c in enumerate(self._columns) if isinstance(c, Bernoulli)], dtype=np.intp
-        )
-        gauss = np.array(
-            [i for i, c in enumerate(self._columns) if isinstance(c, Gaussian)], dtype=np.intp
-        )
+        bern, gauss = self._bern, self._gauss
         if bern.size:
             out[:, bern] = rng.random((n, bern.size)) < self._mu[bern]
         if gauss.size:
-            sd = np.sqrt(self._sigma2[gauss])
-            out[:, gauss] = self._mu[gauss] + sd * rng.standard_normal((n, gauss.size))
+            out[:, gauss] = self._mu[gauss] + self._gauss_sd * rng.standard_normal((n, gauss.size))
+        return out
+
+    def sample_sums(self, rows: int, rng: np.random.Generator) -> np.ndarray:
+        """Column sums of ``rows`` i.i.d. rows, drawn without the rows.
+
+        A Bernoulli column sums to Binomial(rows, p); a Gaussian column to
+        rows * mean + sqrt(rows) * sd * N(0, 1). This is the law of
+        ``sample_dataset(rows, rng).sum(axis=0)``, not its value: the two
+        consume the generator differently. Returns a float64 vector of
+        length d; ``rows`` = 0 gives zeros.
+
+        Args:
+          rows: number of rows summed, >= 0.
+          rng: a numpy Generator; consumed.
+        """
+        if rows < 0:
+            raise ValueError("rows must be >= 0")
+        out = np.empty(self.d, dtype=np.float64)
+        bern, gauss = self._bern, self._gauss
+        if bern.size:
+            out[bern] = rng.binomial(rows, self._mu[bern])
+        if gauss.size:
+            noise = rng.standard_normal(gauss.size)
+            out[gauss] = rows * self._mu[gauss] + np.sqrt(rows) * self._gauss_sd * noise
         return out
 
     # -- Mahalanobis geometry -------------------------------------------------

@@ -1,8 +1,10 @@
 """Membership-inference games: crafting, scoring, and ROC estimation.
 
-A game round works in two phases. The crafter builds a dataset, flips the
-membership coin, optionally plants the target, and releases the mechanism
-output. The adversary then reduces that output to a scalar score. Keeping
+A game round works in two phases. The crafter flips the membership coin
+and releases the mechanism output of a dataset with the target planted in
+it when the coin lands 1; the release depends on the dataset only through
+its column sums, so the crafter draws those sums rather than the rows. The
+adversary then reduces that output to a scalar score. Keeping
 the phases separate pays off in audits: one crafted transcript (the
 expensive part) can be re-scored by many attacks, and composing the phases
 is exactly what :func:`run_fixed_game` does.
@@ -199,34 +201,28 @@ def round_stream(master_seed: int, index: int) -> np.random.Generator:
 def craft(dist: ProductDistribution, mech, n: int, z, rng: np.random.Generator):
     """One crafter round: returns the released vector and the true bit.
 
-    Draws the dataset first and the membership coin second; when the coin
-    lands 1, a uniformly chosen row is replaced by the target before the
-    mechanism runs. If the target is not exactly representable in the
-    dataset's storage dtype, the dataset is upcast to float64 before the
-    replacement so no coordinate is silently truncated.
+    Draws the membership coin first; when it lands 1, the target takes the
+    place of one of the n rows. Every supported release depends on its rows
+    only through their column sums, so ``mech.release`` draws those sums
+    from ``dist`` instead of materialising an n x d dataset. The release has
+    the law of ``mech.apply`` on the planted dataset, for any real target,
+    including one that is not a value of its columns.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     zv = as_vector(z, dist.d, "z")
-    D = dist.sample_dataset(n, rng)
     b = int(rng.integers(0, 2))
-    if b == 1:
-        j = int(rng.integers(0, n))
-        cast = zv.astype(D.dtype)
-        if np.array_equal(cast.astype(np.float64), zv):
-            D[j] = cast
-        else:
-            D = D.astype(np.float64)
-            D[j] = zv
-    return mech.apply(D, rng), b
+    return mech.release(dist, n, zv, b, rng), b
 
 
 def _resolve_threads(threads: int | None) -> int:
+    # None means one worker per CPU. A JSON config can carry any value, so
+    # anything but a whole number >= 1 is a ConfigError, not a TypeError.
     if threads is None:
         return os.cpu_count() or 1
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
-    return int(threads)
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    return threads
 
 
 def run_crafter(

@@ -1,8 +1,12 @@
 """Release mechanisms: exact, noisy, and subsampled empirical means.
 
-Each mechanism consumes an (n, d) dataset and an RNG stream and releases a
-length-d vector. Mechanisms are immutable value objects so one instance can
-be shared across concurrent game rounds.
+Each mechanism releases a length-d vector by two routes. ``apply`` consumes
+an (n, d) dataset and an RNG stream. ``release`` draws the same law without
+the dataset: every mechanism here depends on its rows only through their
+column sums, so it asks a :class:`~mi_audit.dist.ProductDistribution` for
+the sums of the rows it averages and adds the planted target itself. The
+game crafter uses ``release``. Mechanisms are immutable value objects so one
+instance can be shared across concurrent game rounds.
 """
 
 from __future__ import annotations
@@ -29,6 +33,15 @@ def _check_dataset(D) -> np.ndarray:
     return D
 
 
+def _planted_mean(dist, rows: int, z: np.ndarray, b: int, rng: np.random.Generator):
+    # mean of `rows` i.i.d. rows, one of which is z when b is 1:
+    # (S(rows - b) + b z) / rows
+    s = dist.sample_sums(rows - b, rng)
+    if b:
+        s += z
+    return s / rows
+
+
 def subsample_count(rho: float, n: int) -> int:
     """Number of rows kept at rate rho, round(rho * n) floored at 1."""
     if not 0.0 < rho <= 1.0:
@@ -45,6 +58,11 @@ class EmpiricalMean:
     def apply(self, D, rng: np.random.Generator | None = None) -> np.ndarray:
         D = _check_dataset(D)
         return D.mean(axis=0, dtype=np.float64)
+
+    def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
+        """Mean of n i.i.d. rows of ``dist``, one of them replaced by the
+        target ``z`` when b is 1: (S(n - b) + b z) / n, S the column sums."""
+        return _planted_mean(dist, n, z, b, rng)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -68,15 +86,24 @@ class NoisyMean:
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
 
-    def apply(self, D, rng: np.random.Generator) -> np.ndarray:
-        D = _check_dataset(D)
-        n, d = D.shape
+    def _check_columns(self, d: int) -> None:
         if self.gamma.shape[0] not in (1, d):
             raise ValueError(
                 f"gamma has length {self.gamma.shape[0]} but the dataset has {d} columns"
             )
+
+    def apply(self, D, rng: np.random.Generator) -> np.ndarray:
+        D = _check_dataset(D)
+        n, d = D.shape
+        self._check_columns(d)
         noise = rng.standard_normal(d) * (self.gamma / np.sqrt(n))
         return D.mean(axis=0, dtype=np.float64) + noise
+
+    def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
+        """The exact mean of :meth:`EmpiricalMean.release`, then the noise."""
+        self._check_columns(dist.d)
+        mean = _planted_mean(dist, n, z, b, rng)
+        return mean + rng.standard_normal(dist.d) * (self.gamma / np.sqrt(n))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,6 +137,14 @@ class SubsampledMean:
         for i, j in enumerate(js):
             idx[i], idx[j] = idx[j], idx[i]
         return D[idx[:k]].mean(axis=0, dtype=np.float64)
+
+    def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
+        """Mean of the k kept rows. A planted target is kept with
+        probability k / n, i ~ Bernoulli(k / n), and the release is then
+        (S(k - i) + i z) / k."""
+        k = self.k(n)
+        kept = b == 1 and rng.random() < k / n
+        return _planted_mean(dist, k, z, int(kept), rng)
 
 
 def mechanism_from_spec(obj: dict):

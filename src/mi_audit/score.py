@@ -145,14 +145,6 @@ class ReferenceEstimates:
     def _whiten(self, u: np.ndarray) -> np.ndarray:
         return scipy.linalg.solve_triangular(self._chol, u, lower=True)
 
-    def precision_bilinear(self, u, v) -> float:
-        """u^T (c0 + ridge I)^-1 v."""
-        u = as_vector(u, self.d, "u")
-        v = as_vector(v, self.d, "v")
-        if self._chol is None:
-            return _diag_bilinear(u, self._var, v)
-        return float(np.dot(self._whiten(u), self._whiten(v)))
-
     def precision_quad(self, u) -> float:
         """u^T (c0 + ridge I)^-1 u."""
         u = as_vector(u, self.d, "u")
@@ -160,6 +152,19 @@ class ReferenceEstimates:
             return _diag_bilinear(u, self._var, u)
         w = self._whiten(u)
         return float(np.dot(w, w))
+
+    def precision_pair(self, u, v) -> tuple[float, float]:
+        """(u^T P v, u^T P u) with P = (c0 + ridge I)^-1.
+
+        On the full-matrix path u and v are whitened once each: two
+        triangular solves for both quantities.
+        """
+        u = as_vector(u, self.d, "u")
+        v = as_vector(v, self.d, "v")
+        if self._chol is None:
+            return _diag_bilinear(u, self._var, v), _diag_bilinear(u, self._var, u)
+        w = self._whiten(u)
+        return float(np.dot(w, self._whiten(v))), float(np.dot(w, w))
 
 
 # -- score functions -----------------------------------------------------------
@@ -217,7 +222,8 @@ def lr_empirical_cov(mu_hat, z, refs: ReferenceEstimates, n: int) -> float:
         raise ValueError("n must be >= 1")
     u = as_vector(z, refs.d, "z") - refs.mu0
     v = as_vector(mu_hat, refs.d, "mu_hat") - refs.mu0
-    return refs.precision_bilinear(u, v) - refs.precision_quad(u) / (2.0 * n)
+    cross, quad = refs.precision_pair(u, v)
+    return cross - quad / (2.0 * n)
 
 
 def scalar_product(mu_hat, z, z_ref) -> float:

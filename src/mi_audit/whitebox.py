@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from ._util import ConfigError, as_vector
-from .game import ScoredRound, round_stream
+from .game import ScoredRound, _resolve_threads, round_stream
 from .score import ReferenceEstimates
 
 __all__ = [
@@ -283,11 +283,8 @@ def run_whitebox_attack(
         if attack == "scalar":
             total += float(np.dot(g_star, g_batch))
         else:
-            u = g_star - refs.mu0
-            v = g_batch - refs.mu0
-            total += refs.precision_bilinear(u, v) - refs.precision_quad(u) / (
-                2.0 * trace.batch_size
-            )
+            cross, quad = refs.precision_pair(g_star - refs.mu0, g_batch - refs.mu0)
+            total += cross - quad / (2.0 * trace.batch_size)
     return total
 
 
@@ -316,9 +313,12 @@ def run_whitebox_game(
     the target, train from the model's initial parameters, then score the
     trace with the chosen attack. The base rows (X, y) must not already
     contain the target, otherwise the exclude branch is meaningless.
+    ``threads`` None runs serially; any other value must be an integer
+    >= 1, as in run_crafter, or it is a ConfigError.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    workers = 1 if threads is None else _resolve_threads(threads)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     x_t, y_t = target_example
@@ -346,11 +346,11 @@ def run_whitebox_game(
         s = run_whitebox_attack(trace, (x_t, y_t), refs, attack, param_slice)
         results[r] = ScoredRound(score=float(s), b=b)
 
-    if threads is None or threads <= 1 or reps == 1:
+    if workers == 1 or reps == 1:
         for r in range(reps):
             one(r)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
             list(ex.map(one, range(reps)))
     return results
 

@@ -193,6 +193,45 @@ def half_mse_ref(theta, x, y, f):
 
 
 # ---------------------------------------------------------------------------
+# row-level game crafting (materialise the dataset, then apply the mechanism)
+
+def craft_rows(dist, mech, n, z, rng):
+    """One game round built from an explicit (n, d) dataset.
+
+    Draws the dataset with dist.sample_dataset, then the membership coin;
+    on heads a uniformly chosen row is replaced by the target (upcasting the
+    dataset when the target does not fit its dtype), and mech.apply
+    releases. Returns (release, bit). The library crafts from column sums
+    instead; the two agree in law, not in value.
+    """
+    zv = np.asarray(z, dtype=np.float64)
+    D = dist.sample_dataset(n, rng)
+    b = int(rng.integers(0, 2))
+    if b == 1:
+        j = int(rng.integers(0, n))
+        cast = zv.astype(D.dtype)
+        if np.array_equal(cast.astype(np.float64), zv):
+            D[j] = cast
+        else:
+            D = D.astype(np.float64)
+            D[j] = zv
+    return mech.apply(D, rng), b
+
+
+# ---------------------------------------------------------------------------
+# polyline densification (one linspace per segment)
+
+def densify_loop(poly, step):
+    pieces = [poly[:1]]
+    for a, b in zip(poly[:-1], poly[1:]):
+        gap = float(np.max(np.abs(b - a)))
+        k = max(1, int(np.ceil(gap / step)))
+        ts = np.linspace(0.0, 1.0, k + 1)[1:]
+        pieces.append(a + ts[:, None] * (b - a))
+    return np.vstack(pieces)
+
+
+# ---------------------------------------------------------------------------
 # misc
 
 def log_ratio_loop(pairs):

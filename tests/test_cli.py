@@ -200,6 +200,14 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert stderr_error(capsys)["error"] == "config"
 
+    @pytest.mark.parametrize("threads", ["2", 0, -1, 1.5, True])
+    def test_malformed_config_threads_exits_2(self, tmp_path, capsys, threads):
+        cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, threads=threads))
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "threads" in msg["message"]
+
     def test_unknown_score_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, score="lr_wishful"))
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2

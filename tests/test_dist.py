@@ -76,6 +76,29 @@ class TestProductDistribution:
         assert abs(D[:, 1].mean() - 3.0) <= 4 * 2.0 / np.sqrt(4000)
         assert abs(D[:, 1].var() - 4.0) <= 4 * 4.0 * np.sqrt(2 / 4000)
 
+    def test_sample_sums_have_the_law_of_row_sums(self):
+        dist = ProductDistribution((Bernoulli(0.3), Gaussian(3.0, 4.0), Bernoulli(0.8)))
+        rows, T = 7, 4000
+        rng = np.random.default_rng(2)
+        S = np.array([dist.sample_sums(rows, rng) for _ in range(T)])
+        assert S.dtype == np.float64 and S.shape == (T, 3)
+        assert np.array_equal(S[:, [0, 2]], np.rint(S[:, [0, 2]]))
+        assert S[:, [0, 2]].min() >= 0 and S[:, [0, 2]].max() <= rows
+        mu, sigma2 = dist.moments()
+        assert np.all(np.abs(S.mean(axis=0) - rows * mu) <= 5 * np.sqrt(rows * sigma2 / T))
+        # about five standard errors of a variance ratio at T = 4000
+        assert np.all(np.abs(S.var(axis=0) / (rows * sigma2) - 1) <= 0.12)
+
+    def test_sample_sums_edge_cases(self):
+        bern = ProductDistribution.bernoulli_uniform(5, a=0.25, seed=6)
+        mixed = ProductDistribution((Bernoulli(0.5), Gaussian(-1.0, 2.0)))
+        for dist in (bern, mixed):
+            assert np.array_equal(dist.sample_sums(0, np.random.default_rng(3)), np.zeros(dist.d))
+            a = dist.sample_sums(9, np.random.default_rng(4))
+            assert np.array_equal(a, dist.sample_sums(9, np.random.default_rng(4)))
+            with pytest.raises(ValueError):
+                dist.sample_sums(-1, np.random.default_rng(5))
+
     def test_sampling_reproducible_for_equal_seeds(self):
         dist = ProductDistribution.bernoulli_uniform(32, a=0.25, seed=4)
         a = dist.sample_dataset(20, np.random.default_rng(9))

@@ -4,17 +4,22 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 import oracles
 from mi_audit import (
+    Bernoulli,
     ConfigError,
     CrafterTranscript,
     EmpiricalMean,
+    Gaussian,
     GameConfig,
+    NoisyMean,
     NumericalError,
     ProductDistribution,
     RocCurve,
     ScoredRound,
+    SubsampledMean,
     craft,
     empirical_advantage,
     make_score,
@@ -77,6 +82,160 @@ class TestCraft:
             craft(tiny_dist, EmpiricalMean(), 0, np.ones(tiny_dist.d), round_stream(1, 1))
 
 
+def _oracle_rounds(dist, mech, n, z, rounds, seed):
+    outputs = np.empty((rounds, dist.d))
+    bits = np.empty(rounds, dtype=np.int64)
+    for t in range(rounds):
+        rng = np.random.default_rng([seed, t])
+        outputs[t], bits[t] = oracles.craft_rows(dist, mech, n, z, rng)
+    return outputs, bits
+
+
+def _release_moments(dist, mech, n, z, b):
+    """Exact mean and variance of each released coordinate given the bit.
+
+    The release averages r rows (r = n, or k for a subsampled mean); a
+    planted target is among them with probability q (1, or k / n).
+    """
+    mu, sigma2 = dist.moments()
+    r, q, noise = n, 1.0, 0.0
+    if isinstance(mech, SubsampledMean):
+        r = mech.k(n)
+        q = r / n
+    if isinstance(mech, NoisyMean):
+        noise = np.square(mech.gamma) / n
+    u = np.asarray(z, dtype=np.float64) - mu
+    mean = mu + b * q * u / r
+    var = ((r - b * q) * sigma2 + b * q * (1 - q) * u**2) / r**2 + noise
+    return mean, var
+
+
+def _check_moments(x, mean, var, label):
+    # five standard errors, the variance's from the sample fourth moment
+    T = x.shape[0]
+    m = x.mean(axis=0)
+    c = x - m
+    s2 = np.mean(c**2, axis=0)
+    m4 = np.mean(c**4, axis=0)
+    assert np.all(np.abs(m - mean) <= 5 * np.sqrt(var / T)), label
+    assert np.all(np.abs(s2 - var) <= 5 * np.sqrt((m4 - s2**2) / T)), label
+
+
+MIXED = ProductDistribution(
+    [Bernoulli(0.3), Gaussian(1.5, 2.0), Bernoulli(0.65), Gaussian(-1.0, 0.5)]
+)
+BERN = ProductDistribution.bernoulli([0.2, 0.5, 0.7])
+MECHS = {
+    "exact": EmpiricalMean(),
+    "noisy": NoisyMean(np.array([0.7, 0.2, 1.1, 0.4])),
+    "subsampled": SubsampledMean(0.4),
+}
+
+
+class TestCraftMatchesRowOracle:
+    """The column-sum crafter against the row-level one of tests/oracles.py:
+    both must give every coordinate of the release the same law."""
+
+    ROUNDS = 3000
+
+    @pytest.mark.parametrize("mech_name", sorted(MECHS))
+    @pytest.mark.parametrize("dist_name", ["bernoulli", "mixed"])
+    def test_release_law(self, dist_name, mech_name):
+        if dist_name == "mixed":
+            dist, z = MIXED, np.array([1.0, 3.0, 0.0, -1.0])
+        else:
+            dist, z = BERN, np.array([1.0, 0.0, 0.0])
+        mech = MECHS[mech_name]
+        if mech_name == "noisy":
+            mech = NoisyMean(mech.gamma[: dist.d])
+        n, seed = 10, 300 + 10 * len(dist_name) + len(mech_name)
+        tr = run_crafter(dist, mech, n, z, self.ROUNDS, seed, threads=1)
+        ref, ref_bits = _oracle_rounds(dist, mech, n, z, self.ROUNDS, seed)
+        for b in (0, 1):
+            got = tr.outputs[tr.bits == b]
+            want = ref[ref_bits == b]
+            mean, var = _release_moments(dist, mech, n, z, b)
+            label = f"{dist_name}/{mech_name} b={b}"
+            _check_moments(got, mean, var, label + " crafter")
+            _check_moments(want, mean, var, label + " oracle")
+            for j in range(dist.d):
+                p = stats.ks_2samp(got[:, j], want[:, j]).pvalue
+                assert p > 1e-3, f"{label} column {j}: KS p-value {p:.2g}"
+
+    @pytest.mark.parametrize("mech_name", ["exact", "subsampled"])
+    def test_bernoulli_counts_are_binomial(self, mech_name):
+        # rows * release is Binomial(rows - i, p) + i z exactly: an integer
+        # count in [0, rows] whose frequencies match the binomial pmf
+        mech = MECHS[mech_name]
+        n = 10
+        rows = mech.k(n) if mech_name == "subsampled" else n
+        z = np.zeros(BERN.d)
+        tr = run_crafter(BERN, mech, n, z, self.ROUNDS, 71, threads=1)
+        counts = tr.outputs[tr.bits == 0] * rows
+        assert np.array_equal(counts, np.rint(counts))
+        p, _ = BERN.moments()
+        for j in range(BERN.d):
+            observed = np.bincount(counts[:, j].astype(np.intp), minlength=rows + 1)
+            expected = stats.binom.pmf(np.arange(rows + 1), rows, p[j]) * counts.shape[0]
+            # pool the sparse tail cells into one
+            keep = expected >= 5
+            if not keep.all():
+                observed = np.append(observed[keep], observed[~keep].sum())
+                expected = np.append(expected[keep], expected[~keep].sum())
+            pval = stats.chisquare(observed, expected).pvalue
+            assert pval > 1e-3, f"column {j}: chi-square p-value {pval:.2g}"
+
+    def test_non_binary_target_on_bernoulli_columns(self):
+        # the planted row is a real vector, not a value of the columns:
+        # n * release - z is still a Binomial(n - 1, p) count
+        dist = ProductDistribution.bernoulli([0.3, 0.6])
+        z = np.array([0.5, 2.25])
+        n = 6
+        tr = run_crafter(dist, EmpiricalMean(), n, z, self.ROUNDS, 72, threads=1)
+        ref, ref_bits = _oracle_rounds(dist, EmpiricalMean(), n, z, self.ROUNDS, 72)
+        for outputs, bits in ((tr.outputs, tr.bits), (ref, ref_bits)):
+            counts = outputs[bits == 1] * n - z
+            assert np.allclose(counts, np.rint(counts), atol=1e-12)
+            assert counts.min() >= -1e-12 and counts.max() <= n - 1 + 1e-12
+        mean, var = _release_moments(dist, EmpiricalMean(), n, z, 1)
+        _check_moments(tr.outputs[tr.bits == 1], mean, var, "non-binary target")
+        for j in range(dist.d):
+            p = stats.ks_2samp(tr.outputs[tr.bits == 1, j], ref[ref_bits == 1, j]).pvalue
+            assert p > 1e-3, f"column {j}: KS p-value {p:.2g}"
+
+    def test_subsampled_inclusion_rate(self):
+        # with a half-integer target, k * release has fractional part 1/2
+        # exactly when the planted row was kept; that happens at rate k / n
+        dist = ProductDistribution.bernoulli([0.4, 0.55])
+        z = np.full(2, 0.5)
+        n, mech = 10, SubsampledMean(0.3)
+        k = mech.k(n)
+        tr = run_crafter(dist, mech, n, z, self.ROUNDS, 73, threads=1)
+        ref, ref_bits = _oracle_rounds(dist, mech, n, z, self.ROUNDS, 73)
+        for outputs, bits in ((tr.outputs, tr.bits), (ref, ref_bits)):
+            frac = np.mod(outputs[:, 0] * k, 1.0)
+            kept = np.isclose(frac, 0.5)
+            assert not np.any(kept[bits == 0])
+            rate = float(np.mean(kept[bits == 1]))
+            trials = int(np.sum(bits == 1))
+            assert abs(rate - k / n) <= 4 * math.sqrt(k / n * (1 - k / n) / trials)
+
+    @pytest.mark.parametrize("mech_name", sorted(MECHS))
+    def test_craft_reproduces_any_round(self, mech_name):
+        # round t of run_crafter is craft on stream (seed, t), at any thread count
+        mech = MECHS[mech_name]
+        z = np.array([1.0, 3.0, 0.0, -1.0])
+        for threads in (1, 2):
+            tr = run_crafter(MIXED, mech, 9, z, 24, 74, threads=threads)
+            for t in (0, 7, 23):
+                o, b = craft(MIXED, mech, 9, z, round_stream(74, t))
+                assert np.array_equal(o, tr.outputs[t]) and b == tr.bits[t]
+
+    def test_noisy_gamma_length_is_checked(self):
+        with pytest.raises(ValueError, match="gamma has length 3"):
+            craft(MIXED, NoisyMean(np.ones(3)), 5, np.zeros(4), round_stream(1, 0))
+
+
 class TestRunCrafter:
     def test_coin_is_fair_and_conditional_means_shift(self):
         dist = ProductDistribution.bernoulli_uniform(2, a=0.25, seed=32)
@@ -115,8 +274,9 @@ class TestRunCrafter:
         z = np.ones(tiny_dist.d)
         with pytest.raises(ValueError):
             run_crafter(tiny_dist, EmpiricalMean(), 4, z, 0, 1)
-        with pytest.raises(ConfigError):
-            run_crafter(tiny_dist, EmpiricalMean(), 4, z, 2, 1, threads=0)
+        for threads in (0, "2", 1.5, True):
+            with pytest.raises(ConfigError, match="threads"):
+                run_crafter(tiny_dist, EmpiricalMean(), 4, z, 2, 1, threads=threads)
         with pytest.raises(ValueError):
             CrafterTranscript(outputs=np.zeros((3, 2)), bits=np.zeros(4, dtype=np.uint8))
 

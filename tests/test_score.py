@@ -55,12 +55,10 @@ class TestReferenceEstimates:
         var = rng.uniform(0.5, 2.0, size=6)
         refs = ReferenceEstimates(np.zeros(6), var, n0=10)
         u, v = rng.normal(size=6), rng.normal(size=6)
-        assert refs.precision_bilinear(u, v) == pytest.approx(
-            float(u @ np.diag(1 / var) @ v), rel=1e-12
-        )
-        assert refs.precision_quad(u) == pytest.approx(
-            float(u @ np.diag(1 / var) @ u), rel=1e-12
-        )
+        cross, quad = refs.precision_pair(u, v)
+        assert cross == pytest.approx(float(u @ np.diag(1 / var) @ v), rel=1e-12)
+        assert quad == pytest.approx(float(u @ np.diag(1 / var) @ u), rel=1e-12)
+        assert refs.precision_quad(u) == quad
 
     def test_full_bilinear_matches_explicit_inverse(self):
         rng = np.random.default_rng(23)
@@ -69,8 +67,10 @@ class TestReferenceEstimates:
         refs = ReferenceEstimates(np.zeros(5), cov, n0=9)
         inv = np.linalg.inv(cov)
         u, v = rng.normal(size=5), rng.normal(size=5)
-        assert refs.precision_bilinear(u, v) == pytest.approx(float(u @ inv @ v), rel=1e-10)
-        assert refs.precision_quad(u) == pytest.approx(float(u @ inv @ u), rel=1e-10)
+        cross, quad = refs.precision_pair(u, v)
+        assert cross == pytest.approx(float(u @ inv @ v), rel=1e-10)
+        assert quad == pytest.approx(float(u @ inv @ u), rel=1e-10)
+        assert refs.precision_quad(u) == quad
 
     def test_ridge_added_before_factorization(self):
         cov = np.zeros((3, 3))

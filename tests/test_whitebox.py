@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from mi_audit import (
@@ -249,6 +250,37 @@ class TestWhiteboxAttack:
         with pytest.raises(ConfigError):
             run_whitebox_attack(trace, (np.zeros(4), 0.0), refs, "shadow")
 
+    def test_covariance_attack_whitens_each_gradient_once(
+        self, linear_model, small_regression, monkeypatch
+    ):
+        X, y = small_regression
+        trace = train_sgd(linear_model, (X, y), eta=0.1, batch_size=6, epochs=2, seed=16)
+        refs = estimate_reference(reference_gradients(linear_model, X, y), cov_mode="full")
+        target = (np.full(4, 2.0), 5.0)
+        # the score sums u^T P v - u^T P u / (2 B) over the steps, with P
+        # the inverse of the ridged reference covariance
+        inv = np.linalg.inv(refs.c0 + refs.ridge * np.eye(refs.d))
+        want = explicit = 0.0
+        for t in range(trace.steps):
+            u = trace.model.grad(target[0], target[1], theta=trace.thetas[t]) - refs.mu0
+            v = (trace.thetas[t] - trace.thetas[t + 1]) / trace.eta - refs.mu0
+            cross, quad = refs.precision_pair(u, v)
+            want += cross - quad / (2.0 * 6)
+            explicit += float(u @ inv @ v) - float(u @ inv @ u) / (2.0 * 6)
+        solves = []
+        real = scipy.linalg.solve_triangular
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "solve_triangular", counting)
+        total = run_whitebox_attack(trace, target, refs, "covariance")
+        assert trace.steps == 8
+        assert len(solves) == 2 * trace.steps  # the target's gradient and the batch's
+        assert total == want
+        assert total == pytest.approx(explicit, rel=1e-9)
+
     def test_frozen_trace_scores_zero_under_scalar_attack(self, linear_model, small_regression):
         X, y = small_regression
         trace = train_sgd(linear_model, (X, y), eta=0.0, batch_size=6, epochs=1, seed=15)
@@ -280,6 +312,20 @@ class TestWhiteboxGame:
         serial = run_whitebox_game(model, X, y, target, threads=1, **kw)
         threaded = run_whitebox_game(model, X, y, target, threads=3, **kw)
         assert serial == threaded
+
+    def test_threads_below_one_are_rejected(self, small_regression):
+        # the rule of run_crafter: None runs serially, anything but an
+        # integer >= 1 is an error
+        X, y = small_regression
+        model = ToyModel("linear", f=4)
+        target = (np.full(4, 3.0), 12.0)
+        refs = estimate_reference(reference_gradients(model, X, y), ridge=0.0)
+        kw = dict(eta=0.05, batch_size=6, refs=refs, attack="scalar", reps=4, master_seed=84)
+        for threads in (0, -1, "2", 1.5, True):
+            with pytest.raises(ConfigError, match="threads"):
+                run_whitebox_game(model, X, y, target, threads=threads, **kw)
+        serial = run_whitebox_game(model, X, y, target, threads=1, **kw)
+        assert run_whitebox_game(model, X, y, target, threads=None, **kw) == serial
 
     def test_base_rows_containing_the_target_are_rejected(self, small_regression):
         X, y = small_regression
