@@ -196,8 +196,10 @@ def cmd_simulate(args) -> int:
         "fpr,tpr",
         ([_fmt(f), _fmt(t)] for f, t in curve.points),
     )
-    # config hash excludes the scalar overrides already folded into raw
-    summary = _meta(_config_hash(raw), cfg.master_seed)
+    # the worker count never changes a result, so it stays out of the hash
+    summary = _meta(
+        _config_hash({k: v for k, v in raw.items() if k != "threads"}), cfg.master_seed
+    )
     summary.update(
         {
             "m_star": m_star,

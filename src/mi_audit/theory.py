@@ -25,6 +25,11 @@ Dong, Roth & Su, Gaussian Differential Privacy, 2022). TradeoffCurve
 carries q alongside the score, and tradeoff_curve picks the right curve for
 any supported mechanism. The scalar rho * m of subsampled_leakage_score is
 a discount of the score, not the trade-off curve of that mechanism.
+
+sup_norm_gap, the distance of an empirical ROC from its closed form, is a
+Chebyshev Hausdorff distance computed exactly by a binary search along each
+curve, which works because neither coordinate of an ROC or a trade-off curve
+ever decreases.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ import dataclasses
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
-from scipy.spatial import cKDTree
 
 from ._util import as_vector
 
@@ -417,16 +421,72 @@ def _theory_polyline(m_eff: float, q: float = 1.0, num: int = 4001) -> np.ndarra
     return np.vstack([[0.0, 0.0], pts, [1.0, 1.0]])
 
 
+def _check_monotone(pts: np.ndarray) -> np.ndarray:
+    if not np.all(np.diff(pts, axis=0) >= 0.0):
+        raise ValueError(
+            "polyline coordinates must be non-decreasing from vertex to vertex, "
+            "as on an ROC or trade-off curve"
+        )
+    return pts
+
+
+def _nearest_on_chain(p: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Chebyshev distance from each point of ``p`` to the nearest point of
+    ``s``, a chain whose two coordinates never decrease.
+
+    With dx = s_x - p_x and dy = s_y - p_y taken along the chain,
+    max(dx, dy) never falls and -min(dx, dy) never rises, so the distance
+    max(|dx|, |dy|) is smallest at the last index where the first is below
+    the second, that is where dx + dy < 0, or at the index after it (index
+    0 if there is none). A branch-free binary search finds that index for
+    all points at once. Rounded subtraction is monotone and a rounded sum
+    keeps the sign of the exact one, so the argument holds for the computed
+    values and the result equals a brute-force minimum exactly.
+    """
+    sx, sy = s[:, 0], s[:, 1]
+    px, py = p[:, 0], p[:, 1]
+    lo = np.zeros(len(p), dtype=np.intp)
+    width = len(s)
+    while width > 1:
+        half = width // 2
+        mid = lo + half
+        lo = np.where((sx[mid] - px) + (sy[mid] - py) < 0.0, mid, lo)
+        width -= half
+    hi = np.minimum(lo + 1, len(s) - 1)
+    return np.minimum(
+        np.maximum(np.abs(sx[lo] - px), np.abs(sy[lo] - py)),
+        np.maximum(np.abs(sx[hi] - px), np.abs(sy[hi] - py)),
+    )
+
+
+def _directed_gap(p: np.ndarray, s: np.ndarray) -> float:
+    # A densified segment can end one ulp past its vertex (a + (b - a) is
+    # not always b), so a monotone polyline may densify into a chain with
+    # one-ulp steps back. Searching each non-decreasing run separately
+    # keeps the minimum exact.
+    cuts = np.flatnonzero((s[1:, 0] < s[:-1, 0]) | (s[1:, 1] < s[:-1, 1])) + 1
+    near = np.full(len(p), np.inf)
+    for run in np.split(s, cuts):
+        near = np.minimum(near, _nearest_on_chain(p, run))
+    return float(near.max())
+
+
 def polyline_gap(a, b, step: float = 5e-4) -> float:
     """Hausdorff distance under the Chebyshev ground metric between two
     polylines, each densified to ``step`` resolution. Identical polylines
     yield 0; the value bounds how far either curve strays from the other in
-    any direction."""
-    pa = _densify(_coerce_points(a), step)
-    pb = _densify(_coerce_points(b), step)
-    d_ab = cKDTree(pb).query(pa, p=np.inf)[0].max()
-    d_ba = cKDTree(pa).query(pb, p=np.inf)[0].max()
-    return float(max(d_ab, d_ba))
+    any direction.
+
+    Both polylines must be monotone chains, as every ROC and trade-off curve
+    is: neither coordinate may decrease from one vertex to the next.
+
+    Raises:
+      ValueError: if either input is not an (N, 2) array with N >= 2, or a
+        coordinate decreases (or is NaN) along it.
+    """
+    pa = _densify(_check_monotone(_coerce_points(a)), step)
+    pb = _densify(_check_monotone(_coerce_points(b)), step)
+    return max(_directed_gap(pa, pb), _directed_gap(pb, pa))
 
 
 def sup_norm_gap(points, m_eff, step: float = 5e-4) -> float:
@@ -434,7 +494,9 @@ def sup_norm_gap(points, m_eff, step: float = 5e-4) -> float:
     curve, measured as a Hausdorff distance in the unit square.
 
     ``m_eff`` is either a leakage score, read as its Gaussian curve, or a
-    TradeoffCurve, whose closed form (mixture included) is used.
+    TradeoffCurve, whose closed form (mixture included) is used. ``points``
+    must not decrease in either coordinate (see polyline_gap); an ROC never
+    does.
 
     Treating both curves as point sets is the right yardstick for a
     staircase estimate: a vertical reading at small alpha is dominated by

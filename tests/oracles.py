@@ -13,6 +13,7 @@ import math
 import mpmath as mp
 import numpy as np
 from scipy import stats
+from scipy.spatial import cKDTree
 
 mp.mp.dps = 40
 
@@ -219,7 +220,7 @@ def craft_rows(dist, mech, n, z, rng):
 
 
 # ---------------------------------------------------------------------------
-# polyline densification (one linspace per segment)
+# polyline densification (one linspace per segment) and the KD-tree gap
 
 def densify_loop(poly, step):
     pieces = [poly[:1]]
@@ -229,6 +230,16 @@ def densify_loop(poly, step):
         ts = np.linspace(0.0, 1.0, k + 1)[1:]
         pieces.append(a + ts[:, None] * (b - a))
     return np.vstack(pieces)
+
+
+def polyline_gap_kdtree(a, b, step=5e-4):
+    """Chebyshev Hausdorff distance between two polylines densified to
+    ``step``, each point's nearest neighbour found by a KD-tree query."""
+    pa = densify_loop(np.asarray(a, dtype=np.float64), step)
+    pb = densify_loop(np.asarray(b, dtype=np.float64), step)
+    d_ab = cKDTree(pb).query(pa, p=np.inf)[0].max()
+    d_ba = cKDTree(pa).query(pb, p=np.inf)[0].max()
+    return float(max(d_ab, d_ba))
 
 
 # ---------------------------------------------------------------------------

@@ -194,6 +194,18 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "-o", str(out2)]) == 0
         assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
 
+    def test_summary_does_not_depend_on_threads(self, tmp_path):
+        raw = dict(GAME_CFG, mechanism={"mechanism": "subsampled_mean", "rho": 0.5})
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        outs = [tmp_path / "t1", tmp_path / "t2", tmp_path / "t2cfg"]
+        assert main(["simulate", "--config", cfg, "--threads", "1", "-o", str(outs[0])]) == 0
+        assert main(["simulate", "--config", cfg, "--threads", "2", "-o", str(outs[1])]) == 0
+        cfg2 = write_json(tmp_path / "cfg2.json", dict(raw, threads=2))
+        assert main(["simulate", "--config", cfg2, "-o", str(outs[2])]) == 0
+        for name in ("rounds.csv", "roc.csv", "summary.json"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            assert (outs[0] / name).read_bytes() == (outs[2] / name).read_bytes()
+
     def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
         cfg = write_json(tmp_path / "cfg.json", GAME_CFG)
         monkeypatch.setenv("MI_AUDIT_THREADS", "many")
@@ -426,6 +438,21 @@ class TestReport:
         )
         assert rc == 2
         assert stderr_error(capsys)["error"] == "config"
+
+    def test_decreasing_roc_exits_2(self, tmp_path, capsys):
+        roc_path = tmp_path / "roc.csv"
+        with open(roc_path, "w") as f:
+            f.write("fpr,tpr\n0.0,0.0\n0.5,0.8\n0.4,0.9\n1.0,1.0\n")
+        theory_path = tmp_path / "theory.csv"
+        with open(theory_path, "w") as f:
+            f.write("alpha,power\n0.0,0.0\n0.5,0.7\n1.0,1.0\n")
+        out = tmp_path / "o"
+        rc = main(["report", "--roc", str(roc_path), "--theory", str(theory_path), "-o", str(out)])
+        assert rc == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "non-decreasing" in msg["message"]
+        assert not (out / "gaps.json").exists()
 
     def test_no_curves_exits_2(self, tmp_path, capsys):
         assert main(["report", "-o", str(tmp_path / "o")]) == 2

@@ -1,5 +1,8 @@
 """Closed-form leakage, trade-off, and curve-distance checks."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -391,6 +394,29 @@ class TestSubsampledTradeoff:
             assert to_mixture <= SUP_TOL
             assert to_mixture < sup_norm_gap(points, scaled)
 
+    def test_asymptotic_score_at_k_rows_matches_lr_subsampled(self):
+        # The mixture's likelihood ratio is increasing in that of the
+        # included branch, a k-row exact mean, so lr_asymptotic at n = k is
+        # already optimal; the quartic correction of lr_subsampled changes
+        # the ROC by no more than noise.
+        dist = ProductDistribution.bernoulli_uniform(400, a=0.3, seed=61)
+        z, _ = make_extreme_targets(dist)
+        n = 200
+        for rho, seed in ((0.25, 62), (0.5, 63)):
+            mech = SubsampledMean(rho)
+            mixture = tradeoff_curve(dist, z, n, mech)
+            transcript = run_crafter(dist, mech, n, z, 1000, master_seed=seed, threads=1)
+            curves = [
+                roc(score_transcript(transcript, fn, z))
+                for fn in (
+                    make_score("lr_subsampled", dist=dist, n=n, mech=mech),
+                    make_score("lr_asymptotic", dist=dist, n=mech.k(n)),
+                )
+            ]
+            gaps = [sup_norm_gap(c.points, mixture) for c in curves]
+            assert abs(gaps[0] - gaps[1]) <= 0.02
+            assert abs(curves[0].auc - curves[1].auc) <= 0.01
+
 
 class TestDensify:
     def test_matches_one_linspace_per_segment(self):
@@ -412,3 +438,91 @@ class TestDensify:
         dense = _densify(poly, 0.01)
         assert np.array_equal(dense[0], poly[0]) and np.array_equal(dense[-1], poly[-1])
         assert np.max(np.abs(np.diff(dense, axis=0))) <= 0.01 + 1e-15
+
+
+def _random_monotone_polyline(rng, i):
+    """A monotone chain from (0, 0) to (1, 1): free points, a staircase, or
+    points on a coarse grid (with ties), some with a repeated vertex."""
+    n = int(rng.integers(0, 40))
+    kind = i % 3
+    if kind == 0:
+        inner = np.sort(rng.random((n, 2)), axis=0)
+    elif kind == 1:
+        x = np.repeat(np.sort(rng.random(n)), 2)
+        y = np.repeat(np.sort(rng.random(n)), 2)
+        inner = np.column_stack([x[1:], y[:-1]])
+    else:
+        grid = int(rng.integers(1, 50))
+        inner = np.sort(rng.integers(0, grid + 1, (n, 2)), axis=0) / grid
+    poly = np.vstack([[0.0, 0.0], inner, [1.0, 1.0]])
+    if i % 4 == 0:
+        j = int(rng.integers(0, len(poly)))
+        poly = np.insert(poly, j, poly[j], axis=0)  # a zero-length segment
+    return poly
+
+
+class TestPolylineGapExact:
+    """polyline_gap against the KD-tree Hausdorff it replaced, compared with
+    == because every gate reading must stay what it was."""
+
+    def test_matches_kdtree_on_random_monotone_polylines(self):
+        rng = np.random.default_rng(65)
+        for i in range(120):
+            a = _random_monotone_polyline(rng, i)
+            b = _random_monotone_polyline(rng, i // 3)
+            step = (5e-4, 1e-2, 0.3)[i % 3]
+            assert polyline_gap(a, b, step) == oracles.polyline_gap_kdtree(a, b, step)
+
+    def test_matches_kdtree_on_theory_pairs(self):
+        pairs = [((0.0, 1.0), (4.0, 1.0)), ((4.0, 1.0), (4.5, 1.0)), ((2.5, 0.5), (2.5, 1.0)),
+                 ((9.0, 0.25), (1.0, 0.75)), ((30.0, 0.1), (0.0, 1.0))]
+        for (m1, q1), (m2, q2) in pairs:
+            a, b = _theory_polyline(m1, q1), _theory_polyline(m2, q2)
+            assert polyline_gap(a, b) == oracles.polyline_gap_kdtree(a, b)
+
+    def test_matches_kdtree_on_game_rocs(self):
+        dist = ProductDistribution.bernoulli_uniform(30, a=0.3, seed=66)
+        z, _ = make_extreme_targets(dist)
+        n = 60
+        fn = make_score("lr_asymptotic", dist=dist, n=n)
+        own = _theory_polyline(dist.leakage_score(z, n))
+        far = _theory_polyline(0.0)
+        for rounds, seed in ((8, 67), (64, 68), (1000, 69), (20000, 70)):
+            transcript = run_crafter(dist, EmpiricalMean(), n, z, rounds, master_seed=seed, threads=1)
+            points = roc(score_transcript(transcript, fn, z)).points
+            for curve in (own, far):
+                assert polyline_gap(points, curve) == oracles.polyline_gap_kdtree(points, curve)
+
+    def test_exact_where_densifying_steps_back(self):
+        # a + (b - a) can round one ulp past b: this polyline densifies into
+        # a chain whose x falls by one ulp after the third vertex, and the
+        # perturbed copies probe the gap right at that step
+        ulp = 2.0**-53
+        poly = np.array([[0, 0], [1.5 * ulp, 0.1], [0.75 + ulp, 0.5], [0.75 + ulp, 0.5], [1, 1]])
+        assert np.any(np.diff(_densify(poly, 0.3), axis=0) < 0)
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            near = poly.copy()
+            near[1:4] += rng.integers(-6, 7, (3, 2)) * ulp
+            near = np.maximum.accumulate(near, axis=0)
+            assert polyline_gap(poly, near, 0.3) == oracles.polyline_gap_kdtree(poly, near, 0.3)
+
+    def test_rejects_decreasing_polylines(self):
+        good = np.array([[0, 0], [0.3, 0.6], [1, 1]], dtype=float)
+        for bad in (
+            np.array([[0, 0], [0.5, 0.6], [0.4, 0.7], [1, 1]]),
+            np.array([[0, 0], [0.3, 0.6], [0.5, 0.5], [1, 1]]),
+            np.array([[0, 0], [np.nan, 0.6], [1, 1]]),
+        ):
+            with pytest.raises(ValueError, match="non-decreasing"):
+                polyline_gap(good, bad)
+            with pytest.raises(ValueError, match="non-decreasing"):
+                polyline_gap(bad, good)
+            with pytest.raises(ValueError, match="non-decreasing"):
+                sup_norm_gap(bad, 1.0)
+
+    def test_import_leaves_scipy_spatial_unloaded(self):
+        code = "import sys, mi_audit; print('scipy.spatial' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
