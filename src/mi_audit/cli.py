@@ -29,6 +29,7 @@ from .dist import ProductDistribution, target_from_spec
 from .game import GameConfig, empirical_advantage, roc, run_fixed_game
 from .mech import mechanism_from_spec
 from .theory import (
+    _check_monotone,
     effective_leakage,
     polyline_gap,
     sup_norm_gap,
@@ -42,6 +43,7 @@ from .whitebox import (
     run_whitebox_game,
 )
 
+_THREADS_HELP = "worker threads (env MI_AUDIT_THREADS); none runs serially"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -80,14 +82,25 @@ def _write_csv(path: str, header: str, rows) -> None:
             f.write(",".join(row) + "\n")
 
 
-def _load_matrix_csv(path: str) -> np.ndarray:
+def _load_matrix_csv(path: str, skiprows: int = 0) -> np.ndarray:
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
+        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
     except (OSError, ValueError) as e:
         raise ConfigError(f"could not read numeric CSV {path}: {e}") from e
 
 
-def _resolve_threads(args) -> int | None:
+def _load_curve_csv(path: str) -> np.ndarray:
+    # a header line, then (x, y) rows that never decrease, as polyline_gap asks
+    pts = _load_matrix_csv(path, skiprows=1)
+    if pts.shape[1] != 2:
+        raise ConfigError(f"{path}: expected two columns, got {pts.shape[1]}")
+    try:
+        return _check_monotone(pts)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
+
+
+def _threads_override(args) -> int | None:
     if getattr(args, "threads", None) is not None:
         return args.threads
     env = os.environ.get("MI_AUDIT_THREADS")
@@ -172,7 +185,7 @@ def cmd_simulate(args) -> int:
         raw["rounds"] = args.rounds
     if args.master_seed is not None:
         raw["master_seed"] = args.master_seed
-    threads = _resolve_threads(args)
+    threads = _threads_override(args)
     if threads is not None:
         raw["threads"] = threads
     cfg = GameConfig.from_dict(raw)
@@ -362,7 +375,7 @@ def cmd_whitebox(args) -> int:
             clip=cfg.get("clip"),
             noise=cfg.get("noise"),
             param_slice=param_slice,
-            threads=_resolve_threads(args),
+            threads=_threads_override(args),
         )
         curve = roc(game)
         results[attack] = {"auc": curve.auc, "advantage_best_threshold": curve.best_advantage()}
@@ -477,15 +490,17 @@ def cmd_report(args) -> int:
             f"got {len(args.theory)} theory CSVs for {len(args.roc)} roc CSVs; "
             "counts must match when theory curves are given"
         )
+    # every curve is checked before any artifact is written
+    rocs = [_load_curve_csv(p) for p in args.roc]
+    theories = [_load_curve_csv(p) for p in args.theory]
     curves = []
     gaps = []
-    for i, path in enumerate(args.roc):
-        pts = _load_matrix_csv_skip_header(path)
+    for i, (path, pts) in enumerate(zip(args.roc, rocs)):
         stem = os.path.splitext(os.path.basename(path))[0]
         color = _PALETTE[i % len(_PALETTE)]
         curves.append({"points": pts, "label": stem, "color": color, "dotted": False})
-        if args.theory:
-            tpts = _load_matrix_csv_skip_header(args.theory[i])
+        if theories:
+            tpts = theories[i]
             tstem = os.path.splitext(os.path.basename(args.theory[i]))[0]
             curves.append(
                 {"points": tpts, "label": tstem, "color": color, "dotted": True}
@@ -509,16 +524,6 @@ def cmd_report(args) -> int:
     doc["pairs"] = gaps
     _write_json(os.path.join(out, "gaps.json"), doc)
     return 0
-
-
-def _load_matrix_csv_skip_header(path: str) -> np.ndarray:
-    try:
-        mat = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except (OSError, ValueError) as e:
-        raise ConfigError(f"could not read CSV {path}: {e}") from e
-    if mat.shape[1] != 2:
-        raise ConfigError(f"{path}: expected two columns, got {mat.shape[1]}")
-    return mat
 
 
 # -- parser --------------------------------------------------------------------
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="game config JSON")
     p.add_argument("--rounds", type=int, help="override config rounds")
     p.add_argument("--master-seed", type=int, help="override config master_seed")
-    p.add_argument("--threads", type=int, help="worker threads (env MI_AUDIT_THREADS)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("-o", "--out-dir", required=True)
     p.set_defaults(func=cmd_simulate)
 
@@ -562,7 +567,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("whitebox", help="include/exclude training game with gradient attacks")
     p.add_argument("--config", required=True, help="whitebox config JSON")
     p.add_argument("--master-seed", type=int, help="override config master_seed")
-    p.add_argument("--threads", type=int, help="worker threads (env MI_AUDIT_THREADS)")
+    p.add_argument("--threads", type=int, help=_THREADS_HELP)
     p.add_argument("-o", "--out-dir", required=True)
     p.set_defaults(func=cmd_whitebox)
 

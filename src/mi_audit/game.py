@@ -18,7 +18,6 @@ yields bit-identical transcripts everywhere.
 from __future__ import annotations
 
 import dataclasses
-import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -93,6 +92,7 @@ class GameConfig:
 
     ``score_kwargs`` carries score-specific side information (refs, z_targ,
     z_ref, gamma, rho) and is handed to :func:`mi_audit.score.make_score`.
+    ``threads`` None runs serially (see :func:`run_crafter`).
     """
 
     dist: ProductDistribution
@@ -216,13 +216,24 @@ def craft(dist: ProductDistribution, mech, n: int, z, rng: np.random.Generator):
 
 
 def _resolve_threads(threads: int | None) -> int:
-    # None means one worker per CPU. A JSON config can carry any value, so
-    # anything but a whole number >= 1 is a ConfigError, not a TypeError.
+    # None means serial. A JSON config can carry any value, so anything but
+    # a whole number >= 1 is a ConfigError, not a TypeError.
     if threads is None:
-        return os.cpu_count() or 1
+        return 1
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     return threads
+
+
+def _map_rounds(fn, count: int, threads: int | None) -> list:
+    """``[fn(t) for t in range(count)]``, on a pool when ``threads`` >= 2.
+    Each round draws from its own (seed, t) stream, so results never
+    depend on the worker count."""
+    workers = _resolve_threads(threads)
+    if workers == 1 or count == 1:
+        return [fn(t) for t in range(count)]
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, range(count)))
 
 
 def run_crafter(
@@ -238,7 +249,8 @@ def run_crafter(
 
     The transcript is the expensive half of a game; scoring it afterwards is
     cheap, so audits that compare several attacks on the same mechanism
-    should craft once and re-score.
+    should craft once and re-score. ``threads`` None runs serially; any
+    other value must be an integer >= 1, or it is a ConfigError.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -251,17 +263,21 @@ def run_crafter(
         outputs[t] = o
         bits[t] = b
 
-    workers = _resolve_threads(threads)
-    if workers == 1 or rounds == 1:
-        for t in range(rounds):
-            one(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            # consume the iterator so worker exceptions surface here
-            list(ex.map(one, range(rounds)))
+    _map_rounds(one, rounds, threads)
     bits.flags.writeable = False
     outputs.flags.writeable = False
     return CrafterTranscript(outputs=outputs, bits=bits)
+
+
+def _score_round(score_fn, o: np.ndarray, z, t: int) -> float:
+    try:
+        s = float(score_fn(o, z))
+    except Exception as e:
+        e.args = (f"round {t}: {e}",)
+        raise
+    if np.isnan(s):
+        raise NumericalError(f"round {t}: score is NaN")
+    return s
 
 
 def score_transcript(transcript: CrafterTranscript, score_fn, z) -> list[ScoredRound]:
@@ -271,17 +287,10 @@ def score_transcript(transcript: CrafterTranscript, score_fn, z) -> list[ScoredR
     is rejected outright since it would poison every threshold comparison
     downstream.
     """
-    out = []
-    for t in range(transcript.rounds):
-        try:
-            s = float(score_fn(transcript.outputs[t], z))
-        except Exception as e:
-            e.args = (f"round {t}: {e}",)
-            raise
-        if np.isnan(s):
-            raise NumericalError(f"round {t}: score is NaN")
-        out.append(ScoredRound(score=s, b=int(transcript.bits[t])))
-    return out
+    return [
+        ScoredRound(score=_score_round(score_fn, o, z, t), b=int(b))
+        for t, (o, b) in enumerate(zip(transcript.outputs, transcript.bits))
+    ]
 
 
 def run_fixed_game(cfg: GameConfig) -> list[ScoredRound]:
@@ -307,45 +316,26 @@ def run_average_game(
 ) -> list[ScoredRound]:
     """Game variant where the target itself is random each round.
 
-    The coin is drawn first; on heads the round's target is a uniformly
-    chosen row of the freshly drawn dataset, on tails it is an independent
-    draw from the distribution. The score is evaluated against that round's
-    own target, so averaging over rounds averages the fixed-target game over
-    targets drawn from the distribution.
+    Round t draws its target z from the distribution, then crafts with
+    :func:`craft`: on heads z is planted among n - 1 fresh rows, on tails n
+    fresh rows are released. The score is taken against the round's own
+    target, so averaging over rounds averages the fixed-target game over
+    targets drawn from the distribution. The law is that of a heads target
+    chosen uniformly from n i.i.d. rows, since such a row is a draw from the
+    distribution among n - 1 others. ``threads`` as in :func:`run_crafter`.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    results: list = [None] * T
 
-    def one(t: int) -> None:
+    def one(t: int) -> ScoredRound:
         rng = round_stream(seed, t)
-        b = int(rng.integers(0, 2))
-        D = dist.sample_dataset(n, rng)
-        if b == 1:
-            j = int(rng.integers(0, n))
-            z = D[j].astype(np.float64)
-        else:
-            z = dist.sample_dataset(1, rng)[0].astype(np.float64)
-        o = mech.apply(D, rng)
-        try:
-            s = float(score(o, z))
-        except Exception as e:
-            e.args = (f"round {t}: {e}",)
-            raise
-        if np.isnan(s):
-            raise NumericalError(f"round {t}: score is NaN")
-        results[t] = ScoredRound(score=s, b=b)
+        z = dist.sample_dataset(1, rng)[0].astype(np.float64)
+        o, b = craft(dist, mech, n, z, rng)
+        return ScoredRound(score=_score_round(score, o, z, t), b=b)
 
-    workers = _resolve_threads(threads)
-    if workers == 1 or T == 1:
-        for t in range(T):
-            one(t)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(one, range(T)))
-    return results
+    return _map_rounds(one, T, threads)
 
 
 def _arrays(rounds) -> tuple[np.ndarray, np.ndarray]:

@@ -16,13 +16,12 @@ finite differences.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.special import logsumexp
 
 from ._util import ConfigError, as_vector
-from .game import ScoredRound, _resolve_threads, round_stream
+from .game import ScoredRound, _map_rounds, round_stream
 from .score import ReferenceEstimates
 
 __all__ = [
@@ -318,7 +317,6 @@ def run_whitebox_game(
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    workers = 1 if threads is None else _resolve_threads(threads)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     x_t, y_t = target_example
@@ -329,9 +327,8 @@ def run_whitebox_game(
             f"base rows already contain the target (row {dupes[0]}); "
             "the exclude branch would train on it anyway"
         )
-    results: list = [None] * reps
 
-    def one(r: int) -> None:
+    def one(r: int) -> ScoredRound:
         rng = round_stream(master_seed, r)
         b = int(rng.integers(0, 2))
         if b == 1:
@@ -344,15 +341,9 @@ def run_whitebox_game(
             X_r, y_r = X, y
         trace = train_sgd(model, (X_r, y_r), eta, batch_size, epochs, clip, noise, seed=rng)
         s = run_whitebox_attack(trace, (x_t, y_t), refs, attack, param_slice)
-        results[r] = ScoredRound(score=float(s), b=b)
+        return ScoredRound(score=float(s), b=b)
 
-    if workers == 1 or reps == 1:
-        for r in range(reps):
-            one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(one, range(reps)))
-    return results
+    return _map_rounds(one, reps, threads)
 
 
 def make_blobs(n: int, f: int, c: int, *, center_scale: float = 2.0, spread: float = 1.0, seed=0):

@@ -219,6 +219,24 @@ def craft_rows(dist, mech, n, z, rng):
     return mech.apply(D, rng), b
 
 
+def average_round_rows(dist, mech, n, score, rng):
+    """One round of the average-target game built from an explicit dataset.
+
+    Draws the coin, then n rows; on heads the target is a uniformly chosen
+    one of those rows, on tails an independent draw. mech.apply releases
+    the rows and the score is taken against the round's own target.
+    Returns (score, bit). The library plants a drawn target with its
+    column-sum crafter instead; the two agree in law, not in value.
+    """
+    b = int(rng.integers(0, 2))
+    D = dist.sample_dataset(n, rng)
+    if b == 1:
+        z = D[int(rng.integers(0, n))].astype(np.float64)
+    else:
+        z = dist.sample_dataset(1, rng)[0].astype(np.float64)
+    return float(score(mech.apply(D, rng), z)), b
+
+
 # ---------------------------------------------------------------------------
 # polyline densification (one linspace per segment) and the KD-tree gap
 

@@ -439,20 +439,30 @@ class TestReport:
         assert rc == 2
         assert stderr_error(capsys)["error"] == "config"
 
-    def test_decreasing_roc_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "roc_rows, theory_rows",
+        [
+            pytest.param("0.5,0.8\n0.4,0.9", "0.5,0.7", id="roc-with-theory"),
+            pytest.param("0.5,0.8\n0.4,0.9", None, id="roc-alone"),
+            pytest.param("0.5,0.8", "0.5,0.7\n0.6,0.6", id="decreasing-theory"),
+        ],
+    )
+    def test_decreasing_roc_exits_2(self, tmp_path, capsys, roc_rows, theory_rows):
+        # every curve is checked before anything is written
         roc_path = tmp_path / "roc.csv"
-        with open(roc_path, "w") as f:
-            f.write("fpr,tpr\n0.0,0.0\n0.5,0.8\n0.4,0.9\n1.0,1.0\n")
-        theory_path = tmp_path / "theory.csv"
-        with open(theory_path, "w") as f:
-            f.write("alpha,power\n0.0,0.0\n0.5,0.7\n1.0,1.0\n")
+        roc_path.write_text(f"fpr,tpr\n0.0,0.0\n{roc_rows}\n1.0,1.0\n")
+        argv = ["report", "--roc", str(roc_path)]
+        if theory_rows is not None:
+            theory_path = tmp_path / "theory.csv"
+            theory_path.write_text(f"alpha,power\n0.0,0.0\n{theory_rows}\n1.0,1.0\n")
+            argv += ["--theory", str(theory_path)]
         out = tmp_path / "o"
-        rc = main(["report", "--roc", str(roc_path), "--theory", str(theory_path), "-o", str(out)])
-        assert rc == 2
+        assert main(argv + ["-o", str(out)]) == 2
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
         assert "non-decreasing" in msg["message"]
         assert not (out / "gaps.json").exists()
+        assert not (out / "report.svg").exists()
 
     def test_no_curves_exits_2(self, tmp_path, capsys):
         assert main(["report", "-o", str(tmp_path / "o")]) == 2

@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 import oracles
+from mi_audit import game
 from mi_audit import (
     Bernoulli,
     ConfigError,
@@ -20,14 +21,18 @@ from mi_audit import (
     RocCurve,
     ScoredRound,
     SubsampledMean,
+    ToyModel,
     craft,
     empirical_advantage,
+    estimate_reference,
     make_score,
+    reference_gradients,
     roc,
     round_stream,
     run_average_game,
     run_crafter,
     run_fixed_game,
+    run_whitebox_game,
     score_transcript,
 )
 
@@ -262,6 +267,32 @@ class TestRunCrafter:
         threaded = run_crafter(tiny_dist, EmpiricalMean(), 16, z, 64, 44, threads=3)
         assert np.array_equal(serial.outputs, threaded.outputs)
         assert np.array_equal(serial.bits, threaded.bits)
+        fn = make_score("lr_asymptotic", dist=tiny_dist, n=16)
+        serial = run_average_game(tiny_dist, EmpiricalMean(), 16, fn, T=64, seed=44, threads=1)
+        threaded = run_average_game(tiny_dist, EmpiricalMean(), 16, fn, T=64, seed=44, threads=2)
+        assert serial == threaded
+
+    def test_threads_none_never_starts_a_pool(self, tiny_dist, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(game, "ThreadPoolExecutor", NoPool)
+        z = np.ones(tiny_dist.d)
+        fn = make_score("lr_asymptotic", dist=tiny_dist, n=8)
+        rng = np.random.default_rng(85)
+        X = rng.normal(size=(24, 4))
+        y = X @ np.array([1.0, -2.0, 0.5, 0.0])
+        model = ToyModel("linear", f=4)
+        refs = estimate_reference(reference_gradients(model, X, y), ridge=0.0)
+        target = (np.full(4, 3.0), 12.0)
+        kw = dict(eta=0.05, batch_size=6, refs=refs, attack="scalar", reps=4, master_seed=86)
+        assert run_crafter(tiny_dist, EmpiricalMean(), 8, z, 4, 86, threads=None).rounds == 4
+        assert len(run_average_game(tiny_dist, EmpiricalMean(), 8, fn, 4, 86, threads=None)) == 4
+        assert len(run_whitebox_game(model, X, y, target, threads=None, **kw)) == 4
+        # the stub is the pool the games would start
+        with pytest.raises(AssertionError, match="thread pool"):
+            run_crafter(tiny_dist, EmpiricalMean(), 8, z, 4, 86, threads=2)
 
     def test_transcript_is_read_only(self, tiny_dist):
         tr = run_crafter(tiny_dist, EmpiricalMean(), 4, np.ones(tiny_dist.d), 3, 1)
@@ -274,7 +305,7 @@ class TestRunCrafter:
         z = np.ones(tiny_dist.d)
         with pytest.raises(ValueError):
             run_crafter(tiny_dist, EmpiricalMean(), 4, z, 0, 1)
-        for threads in (0, "2", 1.5, True):
+        for threads in (0, -1, "2", 1.5, True):
             with pytest.raises(ConfigError, match="threads"):
                 run_crafter(tiny_dist, EmpiricalMean(), 4, z, 2, 1, threads=threads)
         with pytest.raises(ValueError):
@@ -449,6 +480,35 @@ class TestGameConfig:
 
 
 class TestAverageGame:
+    ROUNDS = 6000
+
+    @pytest.mark.parametrize("mech_name", sorted(MECHS))
+    @pytest.mark.parametrize("dist_name", ["bernoulli", "mixed"])
+    def test_law_matches_row_level_game(self, dist_name, mech_name):
+        # the crafted game against oracles.average_round_rows, both on seed
+        # 400: per class, the scores share one law, and heads come up alike
+        dist = MIXED if dist_name == "mixed" else BERN
+        mech = MECHS[mech_name]
+        if mech_name == "noisy":
+            mech = NoisyMean(mech.gamma[: dist.d])
+        n, seed = 10, 400
+        fn = make_score("lr_asymptotic", dist=dist, n=n)
+        got = run_average_game(dist, mech, n, fn, T=self.ROUNDS, seed=seed, threads=1)
+        scores = np.array([r.score for r in got])
+        bits = np.array([r.b for r in got])
+        ref = [
+            oracles.average_round_rows(dist, mech, n, fn, np.random.default_rng([seed, t]))
+            for t in range(self.ROUNDS)
+        ]
+        ref_scores = np.array([s for s, _ in ref])
+        ref_bits = np.array([b for _, b in ref])
+        label = f"{dist_name}/{mech_name}"
+        for b in (0, 1):
+            p = stats.ks_2samp(scores[bits == b], ref_scores[ref_bits == b]).pvalue
+            assert p > 1e-3, f"{label} b={b}: KS p-value {p:.2g}"
+        gap = abs(float(bits.mean()) - float(ref_bits.mean()))
+        assert gap <= 4 * math.sqrt(0.5 / self.ROUNDS), f"{label}: heads rates differ by {gap}"
+
     def test_detects_membership_of_random_targets(self):
         dist = ProductDistribution.bernoulli_uniform(200, a=0.25, seed=33)
         n = 10
