@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.special import logsumexp
 
 from ._util import ConfigError, as_vector
 from .game import ScoredRound, _map_rounds, round_stream
@@ -76,20 +75,6 @@ class ToyModel:
         W = theta[: self.f * self.c].reshape(self.c, self.f)
         return W, theta[self.f * self.c :]
 
-    def _delta(self, X: np.ndarray, y: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """Per-example error signal: residual (m, 1) for linear, softmax
-        minus one-hot (m, c) for logistic. The per-example gradient is
-        always the outer product of this signal with [x, 1]."""
-        if self.arch == "linear":
-            W, bias = self._split(theta)
-            return (X @ W + bias - y)[:, None]
-        W, bias = self._split(theta)
-        logits = X @ W.T + bias
-        p = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
-        delta = p
-        delta[np.arange(len(y)), y] -= 1.0
-        return delta
-
     def _check_labels(self, y: np.ndarray) -> np.ndarray:
         if self.arch == "linear":
             return np.asarray(y, dtype=np.float64)
@@ -108,21 +93,80 @@ class ToyModel:
             return float(0.5 * np.mean(np.square(X @ W + bias - y)))
         W, bias = self._split(theta)
         logits = X @ W.T + bias
-        return float(np.mean(logsumexp(logits, axis=1) - logits[np.arange(len(y)), y]))
+        return float(np.mean(_logsumexp_rows(logits)[:, 0] - logits[np.arange(len(y)), y]))
 
     def grad_batch(self, X, y, theta=None) -> np.ndarray:
-        """Per-example gradients, one row per example, shape (m, d_p)."""
+        """Per-example gradients, one row per example, shape (m, d_p).
+
+        Checks theta and the labels on every call. train_sgd checks the
+        labels once per run and then takes each step's gradients unchecked.
+        """
         theta = self.theta if theta is None else as_vector(theta, self.d_p, "theta")
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        y = self._check_labels(np.atleast_1d(y))
-        delta = self._delta(X, y, theta)
-        # g_i = delta_i (outer) [x_i, 1]
-        weight_part = (delta[:, :, None] * X[:, None, :]).reshape(len(X), -1)
-        return np.hstack([weight_part, delta])
+        return self._grads(X, self._check_labels(np.atleast_1d(y)), theta)
+
+    def _grads(self, X: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
+        """grad_batch without its checks: X is an (m, f) float matrix and
+        labels have passed _check_labels."""
+        W, bias = self._split(theta)
+        if self.arch == "linear":
+            delta = (X @ W + bias - labels)[:, None]
+        else:
+            delta = _softmax_minus_onehot(X @ W.T + bias, labels)
+        return _outer_grads(delta, X)
 
     def grad(self, x, y, theta=None) -> np.ndarray:
         """Analytic loss gradient for a single (features, label) example."""
         return self.grad_batch(np.atleast_2d(x), np.atleast_1d(y), theta)[0]
+
+    def _grad_path(self, x, y, thetas: np.ndarray) -> np.ndarray:
+        """Gradient of one example at each row of ``thetas``, shape (S, d_p).
+
+        Row t equals grad(x, y, thetas[t]) bit for bit: each row's logits
+        come from a per-row product, as grad's (1, f) @ (f, c) does. One
+        (S, f) @ (f,) product would sum in another order.
+        """
+        x = as_vector(x, self.f, "x")
+        labels = self._check_labels(np.atleast_1d(y))
+        if thetas.ndim != 2 or thetas.shape[1] != self.d_p:
+            raise ValueError(f"thetas must be (S, {self.d_p}), got shape {thetas.shape}")
+        f, c = self.f, self.c
+        if self.arch == "linear":
+            delta = (thetas[:, None, :f] @ x[:, None])[:, 0, :] + thetas[:, f:] - labels
+        else:
+            W = thetas[:, : f * c].reshape(len(thetas), c, f)
+            delta = _softmax_minus_onehot(W @ x + thetas[:, f * c :], labels)
+        return _outer_grads(delta, x[None, :])
+
+
+def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
+    """Row-wise log-sum-exp of an (m, c) matrix, shape (m, 1).
+
+    Repeats the operation order of scipy.special.logsumexp on real input
+    (scipy 1.17), so the two agree bit for bit: the row maxima are taken
+    out of the sum and their count enters as log(count).
+    """
+    a_max = logits.max(axis=1, keepdims=True)
+    top = logits == a_max
+    m = top.sum(axis=1, keepdims=True, dtype=np.float64)
+    s = np.where(top, 0.0, np.exp(logits - a_max)).sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
+    return np.log1p(s) + np.log(m) + a_max
+
+
+def _softmax_minus_onehot(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Logistic error signal, softmax(logits) minus the one-hot labels."""
+    delta = np.exp(logits - _logsumexp_rows(logits))
+    delta[np.arange(len(delta)), labels] -= 1.0
+    return delta
+
+
+def _outer_grads(delta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per-example gradients from error signals: g_i = delta_i (outer)
+    [x_i, 1], for a residual (m, 1) or a softmax signal (m, c). X may be
+    a single row shared by every signal."""
+    weight_part = (delta[:, :, None] * X[:, None, :]).reshape(len(delta), -1)
+    return np.hstack([weight_part, delta])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -170,12 +214,14 @@ def train_sgd(
     calibrated scale and is rejected.
 
     ``seed`` may be an int or a Generator; the model instance is not
-    mutated.
+    mutated. The labels are checked once, before the first step; each step
+    then takes its batch's per-example gradients without checks.
     """
     X, y = data
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be an (n, f) matrix, got shape {X.shape}")
+    labels = model._check_labels(np.atleast_1d(y))
     n = X.shape[0]
     if not 1 <= batch_size <= n:
         raise ValueError(f"batch_size must lie in [1, {n}], got {batch_size}")
@@ -200,7 +246,7 @@ def train_sgd(
         perm = rng.permutation(n)
         for s in range(steps_per_epoch):
             batch = perm[s * batch_size : (s + 1) * batch_size]
-            grads = model.grad_batch(X[batch], y[batch], theta)
+            grads = model._grads(X[batch], labels[batch], theta)
             if clip is not None and np.isfinite(clip):
                 norms = np.linalg.norm(grads, axis=1)
                 factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
@@ -250,7 +296,9 @@ def run_whitebox_attack(
 
     At each step the applied batch gradient is reconstructed from the
     iterate difference (zero by convention when eta is 0, where the quotient
-    is 0/0), and the target's own gradient is taken at the pre-step iterate.
+    is 0/0), and the target's own gradient is taken at the pre-step iterate:
+    one call computes it along the whole path of pre-step iterates, and the
+    loop over steps only scores.
     The covariance attack scores
 
         (g_target - mu0)^T C0^-1 (g_batch - mu0)
@@ -275,9 +323,10 @@ def run_whitebox_attack(
         g_batches = np.zeros((trace.steps, model.d_p))
     else:
         g_batches = (trace.thetas[:-1] - trace.thetas[1:]) / trace.eta
+    g_stars = model._grad_path(x, y, trace.thetas[:-1])[:, sl]
     total = 0.0
     for t in range(trace.steps):
-        g_star = model.grad(x, y, theta=trace.thetas[t])[sl]
+        g_star = g_stars[t]
         g_batch = g_batches[t][sl]
         if attack == "scalar":
             total += float(np.dot(g_star, g_batch))

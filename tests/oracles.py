@@ -14,6 +14,7 @@ import mpmath as mp
 import numpy as np
 from scipy import stats
 from scipy.spatial import cKDTree
+from scipy.special import logsumexp
 
 mp.mp.dps = 40
 
@@ -191,6 +192,77 @@ def half_mse_ref(theta, x, y, f):
     b = float(theta[f])
     r = float(np.dot(w, np.asarray(x, dtype=np.float64)) + b - y)
     return 0.5 * r * r
+
+
+# ---------------------------------------------------------------------------
+# white-box training and attacks, one gradient call per step (scipy route)
+
+def toy_grad_batch(model, X, y, theta):
+    """Per-example gradients of a ToyModel, one row per example, with the
+    softmax normalised by scipy.special.logsumexp."""
+    theta = np.asarray(theta, dtype=np.float64)
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    f, c = model.f, model.c
+    if model.arch == "linear":
+        y = np.asarray(np.atleast_1d(y), dtype=np.float64)
+        delta = (X @ theta[:f] + theta[f] - y)[:, None]
+    else:
+        y = np.atleast_1d(y)
+        logits = X @ theta[: f * c].reshape(c, f).T + theta[f * c :]
+        delta = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+        delta[np.arange(len(y)), y] -= 1.0
+    weight_part = (delta[:, :, None] * X[:, None, :]).reshape(len(X), -1)
+    return np.hstack([weight_part, delta])
+
+
+def train_sgd_steps(model, data, eta, batch_size, epochs, clip=None, noise=None, seed=0):
+    """Every iterate of mini-batch SGD, shape (steps + 1, d_p), taking each
+    step's per-example gradients with toy_grad_batch. Same shuffles, drops,
+    clipping and noise draws as the library's train_sgd."""
+    X, y = data
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    rng = np.random.default_rng(seed)
+    theta = model.theta.copy()
+    thetas = [theta.copy()]
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for s in range(n // batch_size):
+            batch = perm[s * batch_size : (s + 1) * batch_size]
+            grads = toy_grad_batch(model, X[batch], y[batch], theta)
+            if clip is not None and np.isfinite(clip):
+                norms = np.linalg.norm(grads, axis=1)
+                factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
+                grads = grads * factors[:, None]
+            g = grads.mean(axis=0)
+            if noise:
+                g = g + rng.standard_normal(model.d_p) * (noise * clip)
+            theta = theta - eta * g
+            thetas.append(theta.copy())
+    return np.array(thetas)
+
+
+def whitebox_attack_steps(model, thetas, eta, batch_size, target, refs, attack, param_slice=None):
+    """Sum of per-step white-box attack scores, taking the target's gradient
+    with toy_grad_batch at each pre-step iterate, one call per step.
+    ``param_slice`` is a (start, stop) pair or None."""
+    x, y = target
+    sl = slice(0, model.d_p) if param_slice is None else slice(*param_slice)
+    steps = len(thetas) - 1
+    if eta == 0.0:
+        g_batches = np.zeros((steps, model.d_p))
+    else:
+        g_batches = (thetas[:-1] - thetas[1:]) / eta
+    total = 0.0
+    for t in range(steps):
+        g_star = toy_grad_batch(model, x, y, thetas[t])[0][sl]
+        g_batch = g_batches[t][sl]
+        if attack == "scalar":
+            total += float(np.dot(g_star, g_batch))
+        else:
+            cross, quad = refs.precision_pair(g_star - refs.mu0, g_batch - refs.mu0)
+            total += cross - quad / (2.0 * batch_size)
+    return total
 
 
 # ---------------------------------------------------------------------------

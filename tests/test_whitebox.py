@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import logsumexp
 
 import oracles
 from mi_audit import (
@@ -16,6 +17,7 @@ from mi_audit import (
     run_whitebox_game,
     train_sgd,
 )
+from mi_audit.whitebox import _logsumexp_rows
 
 
 @pytest.fixture
@@ -83,6 +85,45 @@ class TestToyModel:
             logistic_model.loss(x, -1)
         with pytest.raises(ValueError):
             logistic_model.loss(x, 1.5)
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_row_logsumexp_equals_scipy_bit_for_bit(self, c):
+        rng = np.random.default_rng(90 + c)
+        blocks = [
+            rng.normal(size=(200, c)) * scale for scale in (1e-3, 1.0, 30.0, 400.0)
+        ]
+        blocks.append(np.round(rng.normal(size=(200, c))))  # tied maxima
+        blocks.append(np.repeat(rng.normal(size=(50, 1)) * 10, c, axis=1))  # all-equal rows
+        blocks.append(rng.choice([-700.0, 700.0, 699.25, 0.0], size=(200, c)))
+        logits = np.vstack(blocks)
+        assert np.array_equal(_logsumexp_rows(logits), logsumexp(logits, axis=1, keepdims=True))
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_logistic_loss_equals_scipy_form_bit_for_bit(self, c):
+        rng = np.random.default_rng(95 + c)
+        model = ToyModel("logistic", f=3, c=c, theta=rng.normal(size=4 * c) * 3.0)
+        X = rng.normal(size=(40, 3))
+        y = rng.integers(0, c, size=40)
+        W, bias = model.theta[: 3 * c].reshape(c, 3), model.theta[3 * c :]
+        logits = X @ W.T + bias
+        want = float(np.mean(logsumexp(logits, axis=1) - logits[np.arange(40), y]))
+        assert model.loss(X, y) == want
+
+    @pytest.mark.parametrize("arch", ["linear", "logistic"])
+    def test_gradient_path_rows_equal_single_gradients(self, arch, linear_model, logistic_model):
+        model = linear_model if arch == "linear" else logistic_model
+        rng = np.random.default_rng(99)
+        thetas = rng.normal(size=(9, model.d_p)) * 2.0
+        x = rng.normal(size=model.f)
+        y = 0.4 if arch == "linear" else 3
+        path = model._grad_path(x, y, thetas)
+        assert path.shape == (9, model.d_p)
+        for t in range(9):
+            assert np.array_equal(path[t], model.grad(x, y, thetas[t]))
+        with pytest.raises(ValueError, match="x has length"):
+            model._grad_path(np.zeros(model.f + 1), y, thetas)
+        with pytest.raises(ValueError, match="thetas"):
+            model._grad_path(x, y, thetas[:, 1:])
 
     def test_construction_validation(self):
         with pytest.raises(ValueError):
@@ -173,6 +214,25 @@ class TestTrainSgd:
         X, y = small_regression
         trace = train_sgd(linear_model, (X, y), eta=0.0, batch_size=6, epochs=1, seed=13)
         assert np.all(trace.thetas == linear_model.theta)
+
+    def test_labels_are_checked_once_per_run(self, logistic_model, monkeypatch):
+        rng = np.random.default_rng(79)
+        X = rng.normal(size=(24, 3))
+        y = rng.integers(0, 4, size=24)
+        calls = []
+        real = ToyModel._check_labels
+
+        def counting(self, labels):
+            calls.append(1)
+            return real(self, labels)
+
+        monkeypatch.setattr(ToyModel, "_check_labels", counting)
+        trace = train_sgd(logistic_model, (X, y), eta=0.1, batch_size=6, epochs=2, seed=5)
+        assert trace.steps == 8
+        assert len(calls) == 1
+        y[-1] = 4
+        with pytest.raises(ValueError, match="labels must be integers"):
+            train_sgd(logistic_model, (X, y), eta=0.1, batch_size=6, epochs=1)
 
     def test_validation(self, linear_model, small_regression):
         X, y = small_regression
@@ -286,6 +346,53 @@ class TestWhiteboxAttack:
         trace = train_sgd(linear_model, (X, y), eta=0.0, batch_size=6, epochs=1, seed=15)
         refs = estimate_reference(reference_gradients(linear_model, X, y), ridge=0.0)
         assert run_whitebox_attack(trace, (np.ones(4), 1.0), refs, "scalar") == 0.0
+
+
+EXACT_CASES = {
+    # id: (arch, c, train_sgd keywords, param_slice)
+    "linear": ("linear", 1, {}, None),
+    "logistic-c2": ("logistic", 2, {}, None),
+    "logistic-c3": ("logistic", 3, {}, None),
+    "logistic-c3-slice": ("logistic", 3, {}, (6, 15)),
+    "logistic-c2-clip-noise": ("logistic", 2, {"clip": 1.5, "noise": 0.7}, None),
+    "linear-clip": ("linear", 1, {"clip": 0.5}, (1, 5)),
+    "logistic-c3-eta0": ("logistic", 3, {"eta": 0.0}, None),
+    "linear-two-epochs": ("linear", 1, {"epochs": 2}, None),
+    "logistic-c3-two-epochs": ("logistic", 3, {"epochs": 2}, None),
+}
+
+
+class TestExactAgainstPerStepCode:
+    """train_sgd and run_whitebox_attack against the per-step code in
+    tests/oracles.py: one scipy logsumexp and one gradient call per step.
+    Iterates and scores must agree exactly, with no tolerance."""
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_iterates_and_scores_match(self, case):
+        arch, c, kw, param_slice = EXACT_CASES[case]
+        rng = np.random.default_rng(sorted(EXACT_CASES).index(case) + 200)
+        f = 4
+        if arch == "linear":
+            X = rng.normal(size=(31, f))
+            y = X @ rng.normal(size=f) + 0.3 * rng.normal(size=31)
+            target = (np.full(f, 1.5), 4.0)
+        else:
+            X, y = make_blobs(31, f, c, seed=int(rng.integers(1 << 30)))
+            target = (np.full(f, 3.0), c - 1)
+        model = ToyModel(arch, f=f, c=c, theta=rng.normal(size=f * c + c) * 0.5)
+        sgd = {"eta": 0.05, "epochs": 1, **kw}
+        trace = train_sgd(model, (X, y), batch_size=7, seed=11, **sgd)
+        want = oracles.train_sgd_steps(model, (X, y), batch_size=7, seed=11, **sgd)
+        assert np.array_equal(trace.thetas, want)
+
+        sl = slice(None) if param_slice is None else slice(*param_slice)
+        refs = estimate_reference(reference_gradients(model, X, y)[:, sl], cov_mode="full")
+        for attack in ("covariance", "scalar"):
+            got = run_whitebox_attack(trace, target, refs, attack, param_slice)
+            ref = oracles.whitebox_attack_steps(
+                model, want, sgd["eta"], 7, target, refs, attack, param_slice
+            )
+            assert got == ref
 
 
 class TestWhiteboxGame:
