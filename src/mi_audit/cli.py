@@ -26,7 +26,7 @@ from . import __version__
 from ._util import ConfigError, NumericalError
 from .canary import estimate_reference, mahalanobis_score_est
 from .dist import ProductDistribution, target_from_spec
-from .game import GameConfig, empirical_advantage, roc, run_fixed_game
+from .game import GameConfig, ScoredRound, empirical_advantage, roc, run_fixed_game
 from .mech import mechanism_from_spec
 from .theory import (
     _check_monotone,
@@ -38,9 +38,10 @@ from .theory import (
 )
 from .whitebox import (
     ToyModel,
+    _play_reps,
     make_blobs,
     reference_gradients,
-    run_whitebox_game,
+    run_whitebox_attack,
 )
 
 _THREADS_HELP = "worker threads (env MI_AUDIT_THREADS); none runs serially"
@@ -100,7 +101,8 @@ def _load_curve_csv(path: str) -> np.ndarray:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _threads_override(args) -> int | None:
+def _threads(args, cfg: dict):
+    # --threads, then MI_AUDIT_THREADS, then the config's own value
     if getattr(args, "threads", None) is not None:
         return args.threads
     env = os.environ.get("MI_AUDIT_THREADS")
@@ -109,7 +111,12 @@ def _threads_override(args) -> int | None:
             return int(env)
         except ValueError as e:
             raise ConfigError(f"MI_AUDIT_THREADS must be an integer, got {env!r}") from e
-    return None
+    return cfg.get("threads")
+
+
+def _run_hash(cfg: dict) -> str:
+    # the worker count never changes a result, so it stays out of the hash
+    return _config_hash({k: v for k, v in cfg.items() if k != "threads"})
 
 
 def _out_dir(args) -> str:
@@ -185,9 +192,7 @@ def cmd_simulate(args) -> int:
         raw["rounds"] = args.rounds
     if args.master_seed is not None:
         raw["master_seed"] = args.master_seed
-    threads = _threads_override(args)
-    if threads is not None:
-        raw["threads"] = threads
+    raw["threads"] = _threads(args, raw)
     cfg = GameConfig.from_dict(raw)
 
     rounds = run_fixed_game(cfg)
@@ -209,10 +214,7 @@ def cmd_simulate(args) -> int:
         "fpr,tpr",
         ([_fmt(f), _fmt(t)] for f, t in curve.points),
     )
-    # the worker count never changes a result, so it stays out of the hash
-    summary = _meta(
-        _config_hash({k: v for k, v in raw.items() if k != "threads"}), cfg.master_seed
-    )
+    summary = _meta(_run_hash(raw), cfg.master_seed)
     summary.update(
         {
             "m_star": m_star,
@@ -312,6 +314,8 @@ def cmd_whitebox(args) -> int:
             raise ConfigError("data CSV needs feature columns plus a label column")
         X, y = mat[:, :-1], mat[:, -1]
         if arch == "logistic":
+            if not np.all(np.isfinite(y) & (y >= 0) & (y == np.floor(y))):
+                raise ConfigError("logistic labels in the data CSV must be integers >= 0")
             y = y.astype(np.int64)
     else:
         raise ConfigError("data spec needs 'blobs' or 'csv'")
@@ -357,26 +361,19 @@ def cmd_whitebox(args) -> int:
     refs = fit_refs(grads[keep])
 
     param_slice = tuple(cfg["param_slice"]) if cfg.get("param_slice") else None
+    attacks = ("covariance", "scalar")
+
+    def read(trace, b):  # both attacks score one training run
+        return [ScoredRound(run_whitebox_attack(trace, target, refs, a, param_slice), b)
+                for a in attacks]
+
+    per_rep = _play_reps(model, X_base, y_base, target, read, eta=eta, batch_size=batch_size,
+                         reps=reps, master_seed=master_seed, epochs=int(cfg.get("epochs", 1)),
+                         clip=cfg.get("clip"), noise=cfg.get("noise"),
+                         threads=_threads(args, cfg))
     out = _out_dir(args)
     results = {}
-    for attack in ("covariance", "scalar"):
-        game = run_whitebox_game(
-            model,
-            X_base,
-            y_base,
-            target,
-            eta=eta,
-            batch_size=batch_size,
-            refs=refs,
-            attack=attack,
-            reps=reps,
-            master_seed=master_seed,
-            epochs=int(cfg.get("epochs", 1)),
-            clip=cfg.get("clip"),
-            noise=cfg.get("noise"),
-            param_slice=param_slice,
-            threads=_threads_override(args),
-        )
+    for attack, game in zip(attacks, zip(*per_rep)):
         curve = roc(game)
         results[attack] = {"auc": curve.auc, "advantage_best_threshold": curve.best_advantage()}
         _write_csv(
@@ -385,7 +382,7 @@ def cmd_whitebox(args) -> int:
             ([str(t), _fmt(r.score), str(r.b)] for t, r in enumerate(game)),
         )
 
-    doc = _meta(_config_hash(cfg), master_seed)
+    doc = _meta(_run_hash(cfg), master_seed)
     doc.update(
         {
             "target_index": t_idx,

@@ -148,10 +148,13 @@ class GameConfig:
 
             spec = dict(info.pop("refs"))
             try:
-                n0 = int(spec.pop("seed_n0")) if "seed_n0" in spec else int(spec.pop("n0"))
+                n0 = int(spec.pop("n0"))
                 seed = int(spec.pop("seed"))
             except KeyError as e:
                 raise ConfigError(f"refs spec missing key {e}") from e
+            unknown = set(spec) - {"cov_mode", "ridge", "centered"}
+            if unknown:
+                raise ConfigError(f"unknown score_info.refs keys: {sorted(unknown)}")
             sample = dist.sample_dataset(n0, np.random.default_rng(seed))
             kwargs["refs"] = estimate_reference(sample, **spec)
         if info:

@@ -236,18 +236,18 @@ def scalar_product(mu_hat, z, z_ref) -> float:
     return float(np.dot(zv - ref, v))
 
 
-def lr_noisy(mu_hat, z, om: OracleMoments, gamma, n: int) -> float:
-    """Oracle score adapted to a noisy mean release: identical to
-    lr_asymptotic with per-coordinate variance sigma2 + gamma^2."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+def _noise_inflated(om: OracleMoments, gamma) -> OracleMoments:
+    # the moments of a mean released with N(0, gamma^2) noise per coordinate
     g = np.asarray(gamma, dtype=np.float64)
     if np.any(g < 0):
         raise ValueError("gamma must be >= 0")
-    var = om.sigma2 + np.broadcast_to(np.square(g), om.sigma2.shape)
-    u = as_vector(z, om.d, "z") - om.mu
-    v = as_vector(mu_hat, om.d, "mu_hat") - om.mu
-    return _diag_bilinear(u, var, v) - _diag_bilinear(u, var, u) / (2.0 * n)
+    return OracleMoments(om.mu, om.sigma2 + np.broadcast_to(np.square(g), om.sigma2.shape))
+
+
+def lr_noisy(mu_hat, z, om: OracleMoments, gamma, n: int) -> float:
+    """Oracle score adapted to a noisy mean release: lr_asymptotic with
+    per-coordinate variance sigma2 + gamma^2."""
+    return lr_asymptotic(mu_hat, z, _noise_inflated(om, gamma), n)
 
 
 def lr_subsampled(mu_hat_sub, z, om: OracleMoments, rho: float, n: int) -> float:
@@ -336,6 +336,8 @@ def make_score(
     om = OracleMoments.from_distribution(dist)
 
     if name == "lr_exact_bernoulli":
+        if not dist.all_bernoulli:
+            raise ConfigError("lr_exact_bernoulli needs a distribution of Bernoulli columns")
         return lambda o, z: lr_exact_bernoulli(o, z, mu)
     if name == "lr_asymptotic":
         return lambda o, z: lr_asymptotic(o, z, om, n)
@@ -351,8 +353,8 @@ def make_score(
             gamma = mech.gamma
         if gamma is None:
             raise ConfigError("lr_noisy needs gamma (or a NoisyMean mechanism)")
-        g = np.asarray(gamma, dtype=np.float64)
-        return lambda o, z: lr_noisy(o, z, om, g, n)
+        noisy = _noise_inflated(om, gamma)
+        return lambda o, z: lr_asymptotic(o, z, noisy, n)
     if name == "lr_subsampled":
         if rho is None and isinstance(mech, SubsampledMean):
             rho = mech.rho

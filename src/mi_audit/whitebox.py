@@ -21,7 +21,7 @@ import numpy as np
 
 from ._util import ConfigError, as_vector
 from .game import ScoredRound, _map_rounds, round_stream
-from .score import ReferenceEstimates
+from .score import ReferenceEstimates, lr_empirical_cov
 
 __all__ = [
     "ToyModel",
@@ -83,10 +83,18 @@ class ToyModel:
             raise ValueError(f"labels must be integers in [0, {self.c})")
         return labels
 
+    def _check_features(self, X, name: str = "X") -> np.ndarray:
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        if X.ndim != 2 or X.shape[1] != self.f:
+            raise ValueError(
+                f"{name} must have model.f={self.f} feature columns, got shape {X.shape}"
+            )
+        return X
+
     def loss(self, X, y, theta=None) -> float:
         """Mean loss over a batch: half squared error or cross-entropy."""
         theta = self.theta if theta is None else as_vector(theta, self.d_p, "theta")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = self._check_features(X)
         y = self._check_labels(np.atleast_1d(y))
         if self.arch == "linear":
             W, bias = self._split(theta)
@@ -98,11 +106,12 @@ class ToyModel:
     def grad_batch(self, X, y, theta=None) -> np.ndarray:
         """Per-example gradients, one row per example, shape (m, d_p).
 
-        Checks theta and the labels on every call. train_sgd checks the
-        labels once per run and then takes each step's gradients unchecked.
+        Checks theta, the feature width and the labels on every call.
+        train_sgd checks them once per run and then takes each step's
+        gradients unchecked.
         """
         theta = self.theta if theta is None else as_vector(theta, self.d_p, "theta")
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = self._check_features(X)
         return self._grads(X, self._check_labels(np.atleast_1d(y)), theta)
 
     def _grads(self, X: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -117,7 +126,7 @@ class ToyModel:
 
     def grad(self, x, y, theta=None) -> np.ndarray:
         """Analytic loss gradient for a single (features, label) example."""
-        return self.grad_batch(np.atleast_2d(x), np.atleast_1d(y), theta)[0]
+        return self.grad_batch(self._check_features(x, "x"), np.atleast_1d(y), theta)[0]
 
     def _grad_path(self, x, y, thetas: np.ndarray) -> np.ndarray:
         """Gradient of one example at each row of ``thetas``, shape (S, d_p).
@@ -214,13 +223,15 @@ def train_sgd(
     calibrated scale and is rejected.
 
     ``seed`` may be an int or a Generator; the model instance is not
-    mutated. The labels are checked once, before the first step; each step
-    then takes its batch's per-example gradients without checks.
+    mutated. The feature width and the labels are checked once, before the
+    first step; each step then takes its batch's per-example gradients
+    without checks.
     """
     X, y = data
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError(f"features must be an (n, f) matrix, got shape {X.shape}")
+    X = model._check_features(X)
     labels = model._check_labels(np.atleast_1d(y))
     n = X.shape[0]
     if not 1 <= batch_size <= n:
@@ -299,12 +310,9 @@ def run_whitebox_attack(
     is 0/0), and the target's own gradient is taken at the pre-step iterate:
     one call computes it along the whole path of pre-step iterates, and the
     loop over steps only scores.
-    The covariance attack scores
-
-        (g_target - mu0)^T C0^-1 (g_batch - mu0)
-            - (1 / (2 batch_size)) ||g_target - mu0||^2_{C0^-1}
-
-    and the scalar attack scores the plain inner product
+    The covariance attack scores each step as a released mean of batch_size
+    gradients, lr_empirical_cov(g_batch, g_target, refs, batch_size), and
+    the scalar attack scores the plain inner product
     g_target . g_batch. ``param_slice`` restricts both gradients to a
     contiguous parameter range (the last-layer trick); refs must match the
     sliced dimension.
@@ -325,14 +333,11 @@ def run_whitebox_attack(
         g_batches = (trace.thetas[:-1] - trace.thetas[1:]) / trace.eta
     g_stars = model._grad_path(x, y, trace.thetas[:-1])[:, sl]
     total = 0.0
-    for t in range(trace.steps):
-        g_star = g_stars[t]
-        g_batch = g_batches[t][sl]
+    for g_star, g_batch in zip(g_stars, g_batches[:, sl]):
         if attack == "scalar":
             total += float(np.dot(g_star, g_batch))
         else:
-            cross, quad = refs.precision_pair(g_star - refs.mu0, g_batch - refs.mu0)
-            total += cross - quad / (2.0 * trace.batch_size)
+            total += lr_empirical_cov(g_batch, g_star, refs, trace.batch_size)
     return total
 
 
@@ -364,6 +369,18 @@ def run_whitebox_game(
     ``threads`` None runs serially; any other value must be an integer
     >= 1, as in run_crafter, or it is a ConfigError.
     """
+
+    def read(trace, b):
+        return ScoredRound(run_whitebox_attack(trace, target_example, refs, attack, param_slice), b)
+
+    return _play_reps(model, X, y, target_example, read, eta=eta, batch_size=batch_size,
+                      reps=reps, master_seed=master_seed, epochs=epochs, clip=clip,
+                      noise=noise, threads=threads)
+
+
+def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, master_seed,
+               epochs, clip, noise, threads) -> list:
+    """Train each rep of run_whitebox_game once and keep only read(trace, b)."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
     X = np.asarray(X, dtype=np.float64)
@@ -377,7 +394,7 @@ def run_whitebox_game(
             "the exclude branch would train on it anyway"
         )
 
-    def one(r: int) -> ScoredRound:
+    def one(r: int):
         rng = round_stream(master_seed, r)
         b = int(rng.integers(0, 2))
         if b == 1:
@@ -389,8 +406,7 @@ def run_whitebox_game(
         else:
             X_r, y_r = X, y
         trace = train_sgd(model, (X_r, y_r), eta, batch_size, epochs, clip, noise, seed=rng)
-        s = run_whitebox_attack(trace, (x_t, y_t), refs, attack, param_slice)
-        return ScoredRound(score=float(s), b=b)
+        return read(trace, b)
 
     return _map_rounds(one, reps, threads)
 

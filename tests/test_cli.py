@@ -220,6 +220,15 @@ class TestSimulate:
         assert msg["error"] == "config"
         assert "threads" in msg["message"]
 
+    def test_unknown_refs_key_exits_2(self, tmp_path, capsys):
+        raw = dict(GAME_CFG, score="lr_empirical_cov")
+        raw["score_info"] = {"refs": {"n0": 50, "seed": 9, "bogus": 1}}
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "bogus" in msg["message"]
+
     def test_unknown_score_exits_2(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, score="lr_wishful"))
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
@@ -288,21 +297,33 @@ class TestCanary:
         assert stderr_error(capsys)["error"] == "config"
 
 
+BLOB_CFG = {
+    "data": {"blobs": {"n": 24, "f": 3, "c": 2, "seed": 3}},
+    "arch": "logistic",
+    "theta0": {"seed": 4, "scale": 0.5},
+    "eta": 0.05,
+    "batch_size": 8,
+    "reps": 8,
+    "master_seed": 7,
+    "cov_mode": "diagonal",
+}
+
+
+def blob_pool_maha():
+    """The blob pool of BLOB_CFG and each row's Mahalanobis score, as the
+    whitebox command ranks them."""
+    from mi_audit import make_blobs
+
+    X, y = make_blobs(25, 3, 2, seed=3)
+    theta0 = np.random.default_rng(4).standard_normal(8) * 0.5
+    grads = ToyModel("logistic", f=3, c=2, theta=theta0).grad_batch(X, y)
+    refs = estimate_reference(grads, cov_mode="diagonal")
+    return np.array([mahalanobis_score_est(g, refs) for g in grads])
+
+
 class TestWhitebox:
     def test_blob_game_writes_scores_and_summary(self, tmp_path):
-        cfg = write_json(
-            tmp_path / "cfg.json",
-            {
-                "data": {"blobs": {"n": 24, "f": 3, "c": 2, "seed": 3}},
-                "arch": "logistic",
-                "theta0": {"seed": 4, "scale": 0.5},
-                "eta": 0.05,
-                "batch_size": 8,
-                "reps": 8,
-                "master_seed": 7,
-                "cov_mode": "diagonal",
-            },
-        )
+        cfg = write_json(tmp_path / "cfg.json", BLOB_CFG)
         out = tmp_path / "out"
         assert main(["whitebox", "--config", cfg, "-o", str(out)]) == 0
         doc = read_json(out / "whitebox.json")
@@ -313,6 +334,78 @@ class TestWhitebox:
             assert 0.0 <= doc["attacks"][attack]["auc"] <= 1.0
             raw = np.loadtxt(out / f"scores_{attack}.csv", delimiter=",", skiprows=1)
             assert raw.shape == (8, 3)
+
+    def test_each_rep_trains_once_for_both_attacks(self, tmp_path, monkeypatch):
+        from mi_audit import whitebox
+
+        calls = []
+        real = whitebox.train_sgd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(whitebox, "train_sgd", counting)
+        cfg = write_json(tmp_path / "cfg.json", BLOB_CFG)
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "out")]) == 0
+        assert len(calls) == BLOB_CFG["reps"]
+
+    def test_threads_come_from_flag_env_or_config(self, tmp_path, monkeypatch):
+        cfg = write_json(tmp_path / "cfg.json", BLOB_CFG)
+        cfg2 = write_json(tmp_path / "cfg2.json", dict(BLOB_CFG, threads=2))
+        outs = [tmp_path / name for name in ("serial", "flag", "env", "config")]
+        assert main(["whitebox", "--config", cfg, "-o", str(outs[0])]) == 0
+        assert main(["whitebox", "--config", cfg, "--threads", "2", "-o", str(outs[1])]) == 0
+        monkeypatch.setenv("MI_AUDIT_THREADS", "3")
+        assert main(["whitebox", "--config", cfg, "-o", str(outs[2])]) == 0
+        monkeypatch.delenv("MI_AUDIT_THREADS")
+        assert main(["whitebox", "--config", cfg2, "-o", str(outs[3])]) == 0
+        for name in ("scores_covariance.csv", "scores_scalar.csv", "whitebox.json"):
+            for out in outs[1:]:
+                assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("threads", [0, -1, 1.5, "2"])
+    def test_malformed_config_threads_exits_2(self, tmp_path, capsys, threads):
+        cfg = write_json(tmp_path / "cfg.json", dict(BLOB_CFG, threads=threads))
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "threads" in msg["message"]
+
+    @pytest.mark.parametrize("spec, pick", [({"index": 5}, 5), ({"rank": "bottom"}, "argmin")])
+    def test_target_by_index_or_bottom_rank(self, tmp_path, spec, pick):
+        cfg = write_json(tmp_path / "cfg.json", dict(BLOB_CFG, target=spec))
+        out = tmp_path / "out"
+        assert main(["whitebox", "--config", cfg, "-o", str(out)]) == 0
+        doc = read_json(out / "whitebox.json")
+        maha = blob_pool_maha()
+        want = int(np.argmin(maha)) if pick == "argmin" else pick
+        assert doc["target_index"] == want
+        assert doc["target_mahalanobis"] == pytest.approx(maha[want], rel=1e-12)
+
+    @pytest.mark.parametrize("label", [1.7, -0.4, -1.0, float("nan")])
+    def test_csv_logistic_labels_must_be_nonnegative_integers(self, tmp_path, capsys, label):
+        rng = np.random.default_rng(57)
+        X = rng.normal(size=(12, 2))
+        y = np.arange(12) % 2.0
+        y[3] = label
+        np.savetxt(tmp_path / "data.csv", np.column_stack([X, y]), delimiter=",")
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "data": {"csv": str(tmp_path / "data.csv")},
+                "arch": "logistic",
+                "eta": 0.05,
+                "batch_size": 4,
+                "reps": 2,
+                "master_seed": 9,
+                "cov_mode": "diagonal",
+            },
+        )
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "labels" in msg["message"]
 
     def test_csv_data_keeps_float_labels_for_regression(self, tmp_path):
         rng = np.random.default_rng(56)
@@ -360,6 +453,14 @@ class TestWhitebox:
         assert stderr_error(capsys)["error"] == "numerical"
 
     def test_bad_target_spec_exits_2(self, tmp_path, capsys):
+        self.check_target_exits_2(tmp_path, capsys, {"rank": "middling"})
+
+    @pytest.mark.parametrize("index", [11, -1])
+    def test_target_index_out_of_range_exits_2(self, tmp_path, capsys, index):
+        self.check_target_exits_2(tmp_path, capsys, {"index": index})
+
+    @staticmethod
+    def check_target_exits_2(tmp_path, capsys, target):
         cfg = write_json(
             tmp_path / "cfg.json",
             {
@@ -369,7 +470,7 @@ class TestWhitebox:
                 "batch_size": 5,
                 "reps": 2,
                 "master_seed": 1,
-                "target": {"rank": "middling"},
+                "target": target,
             },
         )
         assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2

@@ -468,6 +468,27 @@ class TestGameConfig:
         with pytest.raises(ConfigError, match="gama"):
             GameConfig.from_dict(cfg)
 
+    @pytest.mark.parametrize("key", ["z_targ", "z_ref"])
+    def test_score_info_target_specs(self, tiny_dist, key):
+        from mi_audit import make_extreme_targets
+
+        parsed = GameConfig.from_dict(dict(self.CFG, score_info={key: {"extreme": "hard"}}))
+        assert list(parsed.score_kwargs) == [key]
+        _, z_hard = make_extreme_targets(tiny_dist)
+        assert np.array_equal(parsed.score_kwargs[key].z, z_hard.z)
+
+    @pytest.mark.parametrize("key, value, want", [("gamma", 0.5, 0.5), ("rho", "0.25", 0.25)])
+    def test_score_info_scalars(self, key, value, want):
+        parsed = GameConfig.from_dict(dict(self.CFG, score_info={key: value}))
+        assert parsed.score_kwargs == {key: want}
+
+    @pytest.mark.parametrize("extra", ["bogus", "seed_n0"])
+    def test_unknown_refs_key_is_config_error(self, extra):
+        cfg = dict(self.CFG, score="lr_empirical_cov")
+        cfg["score_info"] = {"refs": {"n0": 50, "seed": 9, extra: 1}}
+        with pytest.raises(ConfigError, match=extra):
+            GameConfig.from_dict(cfg)
+
     def test_unknown_score_name_is_config_error(self, tiny_dist):
         with pytest.raises(ConfigError, match="lr_made_up"):
             GameConfig(

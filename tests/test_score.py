@@ -214,6 +214,13 @@ class TestNoisyScore:
             lr_asymptotic(mu_hat, z, fat, 15), rel=1e-12
         )
 
+    def test_negative_gamma_rejected_when_called_and_when_bound(self, small_dist, om):
+        half = np.full(small_dist.d, 0.5)
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            lr_noisy(half, half, om, -0.1, 15)
+        with pytest.raises(ValueError, match="gamma must be >= 0"):
+            make_score("lr_noisy", dist=small_dist, n=15, gamma=-0.1)
+
 
 class TestSubsampledScore:
     @staticmethod
@@ -332,6 +339,13 @@ class TestScoreFactory:
             make_score("lr_quadratic", dist=small_dist, n=5)
         for name in SCORE_NAMES:
             assert name in str(err.value)
+
+    def test_exact_bernoulli_needs_bernoulli_columns(self):
+        from mi_audit.dist import Bernoulli, Gaussian
+
+        mixed = ProductDistribution([Bernoulli(0.3), Gaussian(0.5, 1.0)])
+        with pytest.raises(ConfigError, match="Bernoulli"):
+            make_score("lr_exact_bernoulli", dist=mixed, n=5)
 
     def test_missing_side_information_rejected(self, small_dist):
         with pytest.raises(ConfigError):

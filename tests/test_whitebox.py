@@ -125,6 +125,18 @@ class TestToyModel:
         with pytest.raises(ValueError, match="thetas"):
             model._grad_path(x, y, thetas[:, 1:])
 
+    def test_feature_width_is_checked_at_every_entry_point(self, logistic_model):
+        X = np.zeros((8, 4))
+        y = np.zeros(8, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^X must have model.f=3 .*\(8, 4\)"):
+            logistic_model.loss(X, y)
+        with pytest.raises(ValueError, match=r"^X must have model.f=3 .*\(8, 4\)"):
+            logistic_model.grad_batch(X, y)
+        with pytest.raises(ValueError, match=r"^x must have model.f=3 .*\(1, 4\)"):
+            logistic_model.grad(X[0], 0)
+        with pytest.raises(ValueError, match=r"^X must have model.f=3 .*\(8, 4\)"):
+            train_sgd(logistic_model, (X, y), eta=0.1, batch_size=4, epochs=1)
+
     def test_construction_validation(self):
         with pytest.raises(ValueError):
             ToyModel("tree", f=3)
