@@ -38,6 +38,7 @@ from .theory import (
 )
 from .whitebox import (
     ToyModel,
+    _check_slice,
     _play_reps,
     make_blobs,
     reference_gradients,
@@ -165,7 +166,7 @@ def cmd_theory(args) -> int:
         "alpha,power",
         ([_fmt(a), _fmt(p)] for a, p in zip(curve.alphas, curve.powers)),
     )
-    profile = _meta(_config_hash(cfg), None)
+    profile = _meta(_run_hash(cfg), None)
     profile.update(
         {
             "m_star": m_star,
@@ -317,6 +318,13 @@ def cmd_whitebox(args) -> int:
             if not np.all(np.isfinite(y) & (y >= 0) & (y == np.floor(y))):
                 raise ConfigError("logistic labels in the data CSV must be integers >= 0")
             y = y.astype(np.int64)
+            # the model gets max(label) + 1 classes, so every one must occur
+            edges = np.concatenate(([-1], np.unique(y)))
+            holes = [f"{a + 1}" if b - a == 2 else f"{a + 1}..{b - 1}"
+                     for a, b in zip(edges[:-1], edges[1:]) if b - a > 1]
+            if holes:
+                raise ConfigError(f"logistic labels in the data CSV leave classes "
+                                  f"{', '.join(holes)} empty; they must cover 0..{edges[-1]}")
     else:
         raise ConfigError("data spec needs 'blobs' or 'csv'")
 
@@ -356,11 +364,11 @@ def cmd_whitebox(args) -> int:
     keep = np.arange(len(X)) != t_idx
     X_base, y_base = X[keep], y[keep]
     target = (X[t_idx], y[t_idx])
-    # attack references come from the rows the game actually trains on, so
-    # the target's own gradient never contaminates the estimated moments
-    refs = fit_refs(grads[keep])
-
     param_slice = tuple(cfg["param_slice"]) if cfg.get("param_slice") else None
+    # attack references come from the rows the game actually trains on, so
+    # the target's own gradient never contaminates the estimated moments,
+    # and cover the attacked parameters only
+    refs = fit_refs(grads[keep][:, _check_slice(param_slice, model.d_p)])
     attacks = ("covariance", "scalar")
 
     def read(trace, b):  # both attacks score one training run

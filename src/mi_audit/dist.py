@@ -16,6 +16,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from ._util import ConfigError, as_vector
+from .score import OracleMoments
 
 __all__ = [
     "Bernoulli",
@@ -114,6 +115,7 @@ class ProductDistribution:
         sigma2.flags.writeable = False
         self._mu = mu
         self._sigma2 = sigma2
+        self._om = OracleMoments(mu, sigma2)
         self._all_bernoulli = all(isinstance(c, Bernoulli) for c in columns)
         if self._all_bernoulli:
             self._p32 = mu.astype(np.float32)
@@ -265,9 +267,7 @@ class ProductDistribution:
     def mahalanobis2(self, z) -> float:
         """Squared Mahalanobis distance of ``z`` from the distribution mean,
         sum_j (z_j - mu_j)^2 / sigma_j^2."""
-        v = as_vector(z, self.d, "z")
-        u = v - self._mu
-        return float(np.dot(u / self._sigma2, u))
+        return self._om.precision_quad(as_vector(z, self.d, "z") - self._mu)
 
     def leakage_score(self, z, n: int) -> float:
         """Per-record leakage score, mahalanobis2(z) / n.

@@ -6,16 +6,14 @@ Higher means "the target looks present". Scores may return -inf or +inf as
 sentinels for outcomes that are impossible under one hypothesis; callers
 treat those as extreme thresholds rather than errors.
 
-Side information comes in two grades. :class:`OracleMoments` carries the
-true mean and per-coordinate variance of the data distribution.
-:class:`ReferenceEstimates` carries moments estimated from reference points
-the adversary collected, with an optional ridge term and a cached Cholesky
-factorization when the covariance is a full matrix.
+Side information is one moments type, :class:`ReferenceEstimates`: a mean
+and a diagonal or full covariance, with an optional ridge and a cached
+Cholesky factor for a full matrix. Moments estimated from reference points
+and :class:`OracleMoments`, the true moments and its ridge-free diagonal
+case, feed the same precision-weighted forms and the same LR score.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import scipy.linalg
@@ -39,46 +37,14 @@ __all__ = [
 
 
 def _diag_bilinear(u: np.ndarray, var: np.ndarray, v: np.ndarray) -> float:
-    # u^T diag(var)^-1 v. The single shared kernel keeps the oracle score and
-    # the diagonal estimated-covariance score bit-for-bit identical when they
-    # are handed identical moments.
+    # u^T diag(var)^-1 v, the package's one diagonal precision form: every
+    # caller that hands it identical moments gets bit-identical values.
     return float(np.dot(u / var, v))
 
 
-@dataclasses.dataclass(frozen=True)
-class OracleMoments:
-    """True per-coordinate mean and variance, as adversary side information."""
-
-    mu: np.ndarray
-    sigma2: np.ndarray
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=np.float64)
-        s2 = np.asarray(self.sigma2, dtype=np.float64)
-        if mu.ndim != 1 or mu.shape != s2.shape:
-            raise ValueError("mu and sigma2 must be 1-D vectors of equal length")
-        if np.any(s2 <= 0):
-            raise ValueError("sigma2 must be > 0 component-wise")
-        mu = mu.copy()
-        s2 = s2.copy()
-        mu.flags.writeable = False
-        s2.flags.writeable = False
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "sigma2", s2)
-
-    @property
-    def d(self) -> int:
-        return int(self.mu.shape[0])
-
-    @classmethod
-    def from_distribution(cls, dist) -> "OracleMoments":
-        mu, sigma2 = dist.moments()
-        return cls(mu, sigma2)
-
-
 class ReferenceEstimates:
-    """Moments estimated from reference points, ready for precision-weighted
-    scoring.
+    """A mean and covariance, ready for precision-weighted scoring: moments
+    estimated from reference points, or the true ones (:class:`OracleMoments`).
 
     ``c0`` is either a length-d vector (diagonal covariance) or a d-by-d
     symmetric matrix. ``ridge`` is added to the diagonal before any
@@ -91,7 +57,7 @@ class ReferenceEstimates:
     """
 
     def __init__(self, mu0, c0, n0: int, ridge: float = 0.0):
-        self.mu0 = as_vector(mu0, name="mu0")
+        self.mu0 = as_vector(mu0, name="mu0").copy()
         self.mu0.flags.writeable = False
         d = self.mu0.shape[0]
         if n0 < 1:
@@ -105,6 +71,7 @@ class ReferenceEstimates:
         if c.ndim == 1:
             if c.shape[0] != d:
                 raise ValueError(f"diagonal c0 has length {c.shape[0]}, expected {d}")
+            c = c.copy()
             var = c + self.ridge
             if np.any(var <= 0):
                 raise NumericalError(
@@ -159,12 +126,42 @@ class ReferenceEstimates:
         On the full-matrix path u and v are whitened once each: two
         triangular solves for both quantities.
         """
-        u = as_vector(u, self.d, "u")
-        v = as_vector(v, self.d, "v")
+        return self._pair(as_vector(u, self.d, "u"), as_vector(v, self.d, "v"))
+
+    def _pair(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+        # precision_pair on inputs the caller has already checked
         if self._chol is None:
             return _diag_bilinear(u, self._var, v), _diag_bilinear(u, self._var, u)
         w = self._whiten(u)
         return float(np.dot(w, self._whiten(v))), float(np.dot(w, w))
+
+
+class OracleMoments(ReferenceEstimates):
+    """True per-coordinate mean and variance, as adversary side information:
+    the ridge-free diagonal case of :class:`ReferenceEstimates`, c0 = sigma2.
+    True moments come from no reference sample, so ``n0`` is None."""
+
+    def __init__(self, mu, sigma2):
+        mu = np.asarray(mu, dtype=np.float64)
+        s2 = np.asarray(sigma2, dtype=np.float64)
+        if mu.ndim != 1 or mu.shape != s2.shape:
+            raise ValueError("mu and sigma2 must be 1-D vectors of equal length")
+        if np.any(s2 <= 0):
+            raise ValueError("sigma2 must be > 0 component-wise")
+        super().__init__(mu, s2, n0=1)
+        self.n0 = None
+
+    @property
+    def mu(self) -> np.ndarray:
+        return self.mu0
+
+    @property
+    def sigma2(self) -> np.ndarray:
+        return self.c0
+
+    @classmethod
+    def from_distribution(cls, dist) -> "OracleMoments":
+        return cls(*dist.moments())
 
 
 # -- score functions -----------------------------------------------------------
@@ -203,12 +200,9 @@ def lr_exact_bernoulli(mu_hat, z, mu) -> float:
 def lr_asymptotic(mu_hat, z, om: OracleMoments, n: int) -> float:
     """Limiting log-likelihood-ratio score with oracle moments:
     (z - mu)^T C^-1 (mu_hat - mu) - (1 / 2n) ||z - mu||^2_{C^-1},
-    where C is the diagonal covariance diag(sigma2)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    u = as_vector(z, om.d, "z") - om.mu
-    v = as_vector(mu_hat, om.d, "mu_hat") - om.mu
-    return _diag_bilinear(u, om.sigma2, v) - _diag_bilinear(u, om.sigma2, u) / (2.0 * n)
+    where C is the diagonal covariance diag(sigma2): lr_empirical_cov on
+    the true moments."""
+    return lr_empirical_cov(mu_hat, z, om, n)
 
 
 def lr_empirical_cov(mu_hat, z, refs: ReferenceEstimates, n: int) -> float:
@@ -222,7 +216,7 @@ def lr_empirical_cov(mu_hat, z, refs: ReferenceEstimates, n: int) -> float:
         raise ValueError("n must be >= 1")
     u = as_vector(z, refs.d, "z") - refs.mu0
     v = as_vector(mu_hat, refs.d, "mu_hat") - refs.mu0
-    cross, quad = refs.precision_pair(u, v)
+    cross, quad = refs._pair(u, v)
     return cross - quad / (2.0 * n)
 
 
@@ -247,7 +241,7 @@ def _noise_inflated(om: OracleMoments, gamma) -> OracleMoments:
 def lr_noisy(mu_hat, z, om: OracleMoments, gamma, n: int) -> float:
     """Oracle score adapted to a noisy mean release: lr_asymptotic with
     per-coordinate variance sigma2 + gamma^2."""
-    return lr_asymptotic(mu_hat, z, _noise_inflated(om, gamma), n)
+    return lr_empirical_cov(mu_hat, z, _noise_inflated(om, gamma), n)
 
 
 def lr_subsampled(mu_hat_sub, z, om: OracleMoments, rho: float, n: int) -> float:
@@ -286,7 +280,7 @@ def lr_misspecified(mu_hat, z_targ, om: OracleMoments, n: int) -> float:
     """Oracle score built for a guessed target z_targ. Functionally this is
     lr_asymptotic evaluated at the guess; it exists as a named score so a
     game can be configured with a target the score disagrees with."""
-    return lr_asymptotic(mu_hat, z_targ, om, n)
+    return lr_empirical_cov(mu_hat, z_targ, om, n)
 
 
 # -- score registry ------------------------------------------------------------
@@ -340,7 +334,7 @@ def make_score(
             raise ConfigError("lr_exact_bernoulli needs a distribution of Bernoulli columns")
         return lambda o, z: lr_exact_bernoulli(o, z, mu)
     if name == "lr_asymptotic":
-        return lambda o, z: lr_asymptotic(o, z, om, n)
+        return lambda o, z: lr_empirical_cov(o, z, om, n)
     if name == "lr_empirical_cov":
         if refs is None:
             raise ConfigError("lr_empirical_cov needs reference estimates")
@@ -354,7 +348,7 @@ def make_score(
         if gamma is None:
             raise ConfigError("lr_noisy needs gamma (or a NoisyMean mechanism)")
         noisy = _noise_inflated(om, gamma)
-        return lambda o, z: lr_asymptotic(o, z, noisy, n)
+        return lambda o, z: lr_empirical_cov(o, z, noisy, n)
     if name == "lr_subsampled":
         if rho is None and isinstance(mech, SubsampledMean):
             rho = mech.rho
@@ -366,4 +360,4 @@ def make_score(
     if z_targ is None:
         raise ConfigError("lr_misspecified needs the guessed target z_targ")
     guess = as_vector(z_targ, dist.d, "z_targ")
-    return lambda o, z: lr_misspecified(o, guess, om, n)
+    return lambda o, z: lr_empirical_cov(o, guess, om, n)

@@ -40,6 +40,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._util import as_vector
+from .score import OracleMoments, _noise_inflated
 
 __all__ = [
     "phi",
@@ -145,14 +146,9 @@ def noisy_leakage_score(dist, z, gamma, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    mu, sigma2 = dist.moments()
-    v = as_vector(z, dist.d, "z")
-    g = np.asarray(gamma, dtype=np.float64)
-    if np.any(g < 0):
-        raise ValueError("gamma must be >= 0")
-    g2 = np.broadcast_to(np.square(g), mu.shape)
-    u = v - mu
-    return float(np.dot(u / (sigma2 + g2), u)) / n
+    om = OracleMoments.from_distribution(dist)
+    u = as_vector(z, dist.d, "z") - om.mu
+    return _noise_inflated(om, gamma).precision_quad(u) / n
 
 
 def subsampled_leakage_score(m: float, rho: float) -> float:
@@ -194,10 +190,10 @@ def cross_leakage(dist, z_targ, z_star, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    mu, sigma2 = dist.moments()
-    a = as_vector(z_targ, dist.d, "z_targ") - mu
-    b = as_vector(z_star, dist.d, "z_star") - mu
-    return float(np.dot(a / sigma2, b)) / n
+    om = OracleMoments.from_distribution(dist)
+    a = as_vector(z_targ, dist.d, "z_targ") - om.mu
+    b = as_vector(z_star, dist.d, "z_star") - om.mu
+    return om.precision_pair(a, b)[0] / n
 
 
 def gdp_delta(m: float, epsilon: float) -> float:

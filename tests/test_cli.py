@@ -130,6 +130,15 @@ class TestTheory:
         assert main(["theory", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert stderr_error(capsys)["error"] == "config"
 
+    def test_config_hash_matches_simulate_with_threads(self, tmp_path):
+        # the worker count is in GAME_CFG but in neither command's hash
+        cfg = write_json(tmp_path / "cfg.json", GAME_CFG)
+        assert main(["theory", "--config", cfg, "-o", str(tmp_path / "t")]) == 0
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "s")]) == 0
+        profile = read_json(tmp_path / "t" / "profile.json")
+        summary = read_json(tmp_path / "s" / "summary.json")
+        assert profile["config_hash"] == summary["config_hash"]
+
 
 class TestSimulate:
     def test_artifacts_are_consistent_and_deterministic(self, tmp_path):
@@ -406,6 +415,52 @@ class TestWhitebox:
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
         assert "labels" in msg["message"]
+
+    def test_csv_logistic_labels_must_cover_every_class(self, tmp_path, capsys):
+        X = np.random.default_rng(58).normal(size=(8, 2))
+        y = np.array([0, 1, 0, 1, 0, 1, 0, 50.0])
+        np.savetxt(tmp_path / "data.csv", np.column_stack([X, y]), delimiter=",")
+        cfg = write_json(
+            tmp_path / "cfg.json",
+            {
+                "data": {"csv": str(tmp_path / "data.csv")},
+                "arch": "logistic",
+                "eta": 0.05,
+                "batch_size": 4,
+                "reps": 2,
+                "master_seed": 9,
+                "cov_mode": "diagonal",
+            },
+        )
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "classes 2..49 empty" in msg["message"]
+
+    def test_short_param_slice_fits_references_on_the_slice(self, tmp_path):
+        from mi_audit import make_blobs, run_whitebox_game
+
+        blobs = {"n": 24, "f": 4, "c": 3, "seed": 3}
+        spec = dict(BLOB_CFG, data={"blobs": blobs}, param_slice=[12, 15])
+        cfg = write_json(tmp_path / "cfg.json", spec)
+        out = tmp_path / "out"
+        assert main(["whitebox", "--config", cfg, "-o", str(out)]) == 0
+        doc = read_json(out / "whitebox.json")
+
+        X, y = make_blobs(25, 4, 3, seed=3)
+        theta0 = np.random.default_rng(4).standard_normal(15) * 0.5
+        model = ToyModel("logistic", f=4, c=3, theta=theta0)
+        keep = np.arange(25) != doc["target_index"]
+        refs = estimate_reference(model.grad_batch(X, y)[keep][:, 12:15], cov_mode="diagonal")
+        target = (X[doc["target_index"]], y[doc["target_index"]])
+        for attack in ("covariance", "scalar"):
+            game = run_whitebox_game(
+                model, X[keep], y[keep], target, eta=0.05, batch_size=8, refs=refs,
+                attack=attack, reps=8, master_seed=7, param_slice=(12, 15),
+            )
+            raw = np.loadtxt(out / f"scores_{attack}.csv", delimiter=",", skiprows=1)
+            assert np.array_equal(raw[:, 1], [r.score for r in game])
+            assert np.array_equal(raw[:, 2], [r.b for r in game])
 
     def test_csv_data_keeps_float_labels_for_regression(self, tmp_path):
         rng = np.random.default_rng(56)

@@ -48,6 +48,13 @@ class TestOracleMoments:
         with pytest.raises(ValueError):
             OracleMoments(np.zeros(2), np.array([1.0, 0.0]))
 
+    def test_is_the_ridge_free_diagonal_case_of_reference_estimates(self, small_dist, om):
+        assert isinstance(om, ReferenceEstimates)
+        assert om.is_diagonal and om.ridge == 0.0 and om.n0 is None
+        assert np.array_equal(om.c0, small_dist.moments()[1])
+        with pytest.raises(ValueError, match="n0"):
+            ReferenceEstimates(om.mu, om.sigma2, n0=0)
+
 
 class TestReferenceEstimates:
     def test_diagonal_bilinear_matches_inverse(self):
@@ -93,6 +100,14 @@ class TestReferenceEstimates:
     def test_nonpositive_diagonal_names_offender(self):
         with pytest.raises(NumericalError, match="-1"):
             ReferenceEstimates(np.zeros(2), np.array([1.0, -1.0]), n0=4, ridge=0.0)
+
+    def test_caller_arrays_stay_writeable(self):
+        mu, c = np.zeros(3), np.ones(3)
+        refs = ReferenceEstimates(mu, c, n0=2)
+        assert mu.flags.writeable and c.flags.writeable
+        mu[0] = c[0] = 5.0
+        assert refs.mu0[0] == 0.0 and refs.c0[0] == 1.0
+        assert not refs.mu0.flags.writeable and not refs.c0.flags.writeable
 
     def test_asymmetric_covariance_rejected(self):
         cov = np.array([[1.0, 0.5], [0.2, 1.0]])
