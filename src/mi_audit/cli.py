@@ -40,9 +40,9 @@ from .whitebox import (
     ToyModel,
     _check_slice,
     _play_reps,
+    _score_trace,
     make_blobs,
     reference_gradients,
-    run_whitebox_attack,
 )
 
 _THREADS_HELP = "worker threads (env MI_AUDIT_THREADS); none runs serially"
@@ -280,6 +280,18 @@ def cmd_canary(args) -> int:
 # -- whitebox --------------------------------------------------------------------
 
 
+def _param_slice(cfg) -> tuple | None:
+    # a JSON list of one to three integers or nulls, the arguments of slice()
+    raw = cfg.get("param_slice")
+    if raw is None:
+        return None
+    if (not isinstance(raw, list) or not 1 <= len(raw) <= 3
+            or any(isinstance(v, bool) or not isinstance(v, (int, type(None))) for v in raw)):
+        raise ConfigError(f"param_slice must be a list [start, stop] of integers or nulls, "
+                          f"as slice() takes them, got {raw!r}")
+    return tuple(raw)
+
+
 def cmd_whitebox(args) -> int:
     cfg = _load_config(args.config)
     if args.master_seed is not None:
@@ -297,12 +309,14 @@ def cmd_whitebox(args) -> int:
     if "blobs" in data_spec:
         spec = data_spec["blobs"]
         try:
-            # one extra point so the training set keeps its stated size after
-            # the target is pulled out of the pool
+            # the model has the spec's c classes, whether or not the draw
+            # hits every one of them; one extra point so the training set
+            # keeps its stated size after the target is pulled out of the pool
+            classes = int(spec["c"])
             X, y = make_blobs(
                 int(spec["n"]) + 1,
                 int(spec["f"]),
-                int(spec["c"]),
+                classes,
                 center_scale=float(spec.get("center_scale", 2.0)),
                 spread=float(spec.get("spread", 1.0)),
                 seed=int(spec.get("seed", 0)),
@@ -314,6 +328,7 @@ def cmd_whitebox(args) -> int:
         if mat.shape[1] < 2:
             raise ConfigError("data CSV needs feature columns plus a label column")
         X, y = mat[:, :-1], mat[:, -1]
+        classes = 1
         if arch == "logistic":
             if not np.all(np.isfinite(y) & (y >= 0) & (y == np.floor(y))):
                 raise ConfigError("logistic labels in the data CSV must be integers >= 0")
@@ -325,10 +340,10 @@ def cmd_whitebox(args) -> int:
             if holes:
                 raise ConfigError(f"logistic labels in the data CSV leave classes "
                                   f"{', '.join(holes)} empty; they must cover 0..{edges[-1]}")
+            classes = int(edges[-1]) + 1
     else:
         raise ConfigError("data spec needs 'blobs' or 'csv'")
 
-    classes = int(np.max(y)) + 1 if arch == "logistic" else 1
     c = max(2, classes) if arch == "logistic" else 1
     theta0 = None
     if "theta0" in cfg:
@@ -364,16 +379,15 @@ def cmd_whitebox(args) -> int:
     keep = np.arange(len(X)) != t_idx
     X_base, y_base = X[keep], y[keep]
     target = (X[t_idx], y[t_idx])
-    param_slice = tuple(cfg["param_slice"]) if cfg.get("param_slice") else None
+    sl = _check_slice(_param_slice(cfg), model.d_p)
     # attack references come from the rows the game actually trains on, so
     # the target's own gradient never contaminates the estimated moments,
     # and cover the attacked parameters only
-    refs = fit_refs(grads[keep][:, _check_slice(param_slice, model.d_p)])
+    refs = fit_refs(grads[keep][:, sl])
     attacks = ("covariance", "scalar")
 
-    def read(trace, b):  # both attacks score one training run
-        return [ScoredRound(run_whitebox_attack(trace, target, refs, a, param_slice), b)
-                for a in attacks]
+    def read(trace, b, g_stars):  # both attacks score one training run
+        return [ScoredRound(_score_trace(trace, g_stars, refs, a, sl), b) for a in attacks]
 
     per_rep = _play_reps(model, X_base, y_base, target, read, eta=eta, batch_size=batch_size,
                          reps=reps, master_seed=master_seed, epochs=int(cfg.get("epochs", 1)),

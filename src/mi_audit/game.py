@@ -18,6 +18,7 @@ yields bit-identical transcripts everywhere.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -201,6 +202,40 @@ def round_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _round_streams(master_seed: int):
+    """A callable t -> generator that draws exactly what
+    round_stream(master_seed, t) draws.
+
+    Each thread keeps one Philox generator and rekeys it for every round:
+    key (master_seed, t), counter 0, an empty buffer and no 32-bit half
+    left over, the state a freshly keyed Philox starts from. That costs a
+    fraction of a new generator, whose constructor also seeds itself from
+    os.urandom before the key replaces the seed. A generator is valid until
+    the same thread asks for its next round.
+    """
+    local = threading.local()
+
+    def stream(t: int) -> np.random.Generator:
+        gen = getattr(local, "gen", None)
+        if gen is None:
+            gen = local.gen = round_stream(master_seed, t)
+            return gen
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {
+                "counter": np.zeros(4, dtype=np.uint64),
+                "key": np.array([master_seed, t], dtype=np.uint64),
+            },
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
+
+    return stream
+
+
 def craft(dist: ProductDistribution, mech, n: int, z, rng: np.random.Generator):
     """One crafter round: returns the released vector and the true bit.
 
@@ -260,9 +295,10 @@ def run_crafter(
     zv = as_vector(z, dist.d, "z")
     outputs = np.empty((rounds, dist.d), dtype=np.float64)
     bits = np.empty(rounds, dtype=np.uint8)
+    stream = _round_streams(master_seed)
 
     def one(t: int) -> None:
-        o, b = craft(dist, mech, n, zv, round_stream(master_seed, t))
+        o, b = craft(dist, mech, n, zv, stream(t))
         outputs[t] = o
         bits[t] = b
 
@@ -331,9 +367,10 @@ def run_average_game(
         raise ValueError("T must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    stream = _round_streams(seed)
 
     def one(t: int) -> ScoredRound:
-        rng = round_stream(seed, t)
+        rng = stream(t)
         z = dist.sample_dataset(1, rng)[0].astype(np.float64)
         o, b = craft(dist, mech, n, z, rng)
         return ScoredRound(score=_score_round(score, o, z, t), b=b)

@@ -21,6 +21,9 @@ import scipy.linalg
 from ._util import ConfigError, NumericalError, as_vector
 from .mech import NoisyMean, SubsampledMean, subsample_count
 
+# scipy.linalg.solve_triangular's own LAPACK routine for float64 input
+_TRTRS = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)[0]
+
 __all__ = [
     "OracleMoments",
     "ReferenceEstimates",
@@ -49,7 +52,8 @@ class ReferenceEstimates:
     ``c0`` is either a length-d vector (diagonal covariance) or a d-by-d
     symmetric matrix. ``ridge`` is added to the diagonal before any
     factorization; the full-matrix path factorizes once at construction and
-    reuses the triangular factor for every score evaluation.
+    reuses the triangular factor, with the LAPACK ``trtrs`` routine that
+    solves against it, for every score evaluation.
 
     Raises:
       NumericalError: if the ridged covariance is not positive definite; the
@@ -96,6 +100,11 @@ class ReferenceEstimates:
                     f"{self.ridge:g}: smallest eigenvalue {lam:.6e}"
                 ) from None
             self._var = None
+            # the branch solve_triangular takes: trtrs wants a Fortran-ordered
+            # factor, and a C-ordered lower factor is the transpose of a
+            # Fortran-ordered upper one
+            self._lower = bool(self._chol.flags.f_contiguous)
+            self._tri = self._chol if self._lower else self._chol.T
         else:
             raise ValueError(f"c0 must be a vector or a square matrix, got ndim {c.ndim}")
         c.flags.writeable = False
@@ -110,7 +119,14 @@ class ReferenceEstimates:
         return self._chol is None
 
     def _whiten(self, u: np.ndarray) -> np.ndarray:
-        return scipy.linalg.solve_triangular(self._chol, u, lower=True)
+        # solve_triangular(self._chol, u, lower=True) bit for bit, with its
+        # finiteness check on u but without its per-call dispatch
+        if not np.isfinite(u).all():
+            raise ValueError("array must not contain infs or NaNs")
+        w, info = _TRTRS(self._tri, u, lower=self._lower, trans=int(not self._lower))
+        if info != 0:
+            raise scipy.linalg.LinAlgError(f"triangular solve failed: trtrs info {info}")
+        return w
 
     def precision_quad(self, u) -> float:
         """u^T (c0 + ridge I)^-1 u."""
@@ -216,6 +232,11 @@ def lr_empirical_cov(mu_hat, z, refs: ReferenceEstimates, n: int) -> float:
         raise ValueError("n must be >= 1")
     u = as_vector(z, refs.d, "z") - refs.mu0
     v = as_vector(mu_hat, refs.d, "mu_hat") - refs.mu0
+    return _lr_centered(u, v, refs, n)
+
+
+def _lr_centered(u: np.ndarray, v: np.ndarray, refs: ReferenceEstimates, n: int) -> float:
+    # lr_empirical_cov on checked, centered inputs u = z - mu0, v = mu_hat - mu0
     cross, quad = refs._pair(u, v)
     return cross - quad / (2.0 * n)
 

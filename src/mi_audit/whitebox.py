@@ -20,8 +20,8 @@ import dataclasses
 import numpy as np
 
 from ._util import ConfigError, as_vector
-from .game import ScoredRound, _map_rounds, round_stream
-from .score import ReferenceEstimates, lr_empirical_cov
+from .game import ScoredRound, _map_rounds, _resolve_threads, round_stream
+from .score import ReferenceEstimates, _lr_centered
 
 __all__ = [
     "ToyModel",
@@ -70,10 +70,11 @@ class ToyModel:
         return self.f * self.c + self.c
 
     def _split(self, theta: np.ndarray):
+        # weights and biases of a (..., d_p) stack of parameter vectors
         if self.arch == "linear":
-            return theta[: self.f], theta[self.f]
-        W = theta[: self.f * self.c].reshape(self.c, self.f)
-        return W, theta[self.f * self.c :]
+            return theta[..., : self.f], theta[..., self.f]
+        W = theta[..., : self.f * self.c].reshape(*theta.shape[:-1], self.c, self.f)
+        return W, theta[..., self.f * self.c :]
 
     def _check_labels(self, y: np.ndarray) -> np.ndarray:
         if self.arch == "linear":
@@ -115,13 +116,19 @@ class ToyModel:
         return self._grads(X, self._check_labels(np.atleast_1d(y)), theta)
 
     def _grads(self, X: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """grad_batch without its checks: X is an (m, f) float matrix and
-        labels have passed _check_labels."""
+        """grad_batch without its checks, over leading batch axes: X is a
+        (..., m, f) float array, labels (..., m) have passed _check_labels,
+        theta is (..., d_p), and the result is (..., m, d_p).
+
+        Each run's logits come from its own (m, f) @ (f, c) product inside
+        one stacked matmul, so a stack of runs gets, bit for bit, the
+        gradients each run gets alone.
+        """
         W, bias = self._split(theta)
         if self.arch == "linear":
-            delta = (X @ W + bias - labels)[:, None]
+            delta = ((X @ W[..., None])[..., 0] + bias[..., None] - labels)[..., None]
         else:
-            delta = _softmax_minus_onehot(X @ W.T + bias, labels)
+            delta = _softmax_minus_onehot(X @ W.swapaxes(-1, -2) + bias[..., None, :], labels)
         return _outer_grads(delta, X)
 
     def grad(self, x, y, theta=None) -> np.ndarray:
@@ -132,50 +139,48 @@ class ToyModel:
         """Gradient of one example at each row of ``thetas``, shape (S, d_p).
 
         Row t equals grad(x, y, thetas[t]) bit for bit: each row's logits
-        come from a per-row product, as grad's (1, f) @ (f, c) does. One
+        come from a per-row (1, f) @ (f, c) product, as grad's do. One
         (S, f) @ (f,) product would sum in another order.
         """
         x = as_vector(x, self.f, "x")
         labels = self._check_labels(np.atleast_1d(y))
         if thetas.ndim != 2 or thetas.shape[1] != self.d_p:
             raise ValueError(f"thetas must be (S, {self.d_p}), got shape {thetas.shape}")
-        f, c = self.f, self.c
-        if self.arch == "linear":
-            delta = (thetas[:, None, :f] @ x[:, None])[:, 0, :] + thetas[:, f:] - labels
-        else:
-            W = thetas[:, : f * c].reshape(len(thetas), c, f)
-            delta = _softmax_minus_onehot(W @ x + thetas[:, f * c :], labels)
-        return _outer_grads(delta, x[None, :])
+        return self._grads(x[None, :], labels, thetas)[:, 0]
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-sum-exp of an (m, c) matrix, shape (m, 1).
+    """Log-sum-exp over the last axis of a (..., m, c) array, shape
+    (..., m, 1).
 
     Repeats the operation order of scipy.special.logsumexp on real input
     (scipy 1.17), so the two agree bit for bit: the row maxima are taken
     out of the sum and their count enters as log(count).
     """
-    a_max = logits.max(axis=1, keepdims=True)
+    a_max = logits.max(axis=-1, keepdims=True)
     top = logits == a_max
-    m = top.sum(axis=1, keepdims=True, dtype=np.float64)
-    s = np.where(top, 0.0, np.exp(logits - a_max)).sum(axis=1, keepdims=True)
+    m = top.sum(axis=-1, keepdims=True, dtype=np.float64)
+    s = np.where(top, 0.0, np.exp(logits - a_max)).sum(axis=-1, keepdims=True)
     s = np.where(s == 0, s, s / m)
     return np.log1p(s) + np.log(m) + a_max
 
 
 def _softmax_minus_onehot(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Logistic error signal, softmax(logits) minus the one-hot labels."""
+    """Logistic error signal, softmax(logits) minus the one-hot labels,
+    for (..., m, c) logits and (..., m) labels."""
     delta = np.exp(logits - _logsumexp_rows(logits))
-    delta[np.arange(len(delta)), labels] -= 1.0
-    return delta
+    # subtracting 0.0 leaves every other entry as it is
+    return delta - (labels[..., None] == np.arange(logits.shape[-1]))
 
 
 def _outer_grads(delta: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Per-example gradients from error signals: g_i = delta_i (outer)
-    [x_i, 1], for a residual (m, 1) or a softmax signal (m, c). X may be
-    a single row shared by every signal."""
-    weight_part = (delta[:, :, None] * X[:, None, :]).reshape(len(delta), -1)
-    return np.hstack([weight_part, delta])
+    [x_i, 1], for a residual (..., m, 1) or a softmax signal (..., m, c)
+    and rows X (..., m, f). X may be a single row shared by every signal.
+    Both factors are laid out flat, as (..., m, c * f), so that one
+    multiply runs over whole rows rather than over c * m rows of f."""
+    weight_part = np.repeat(delta, X.shape[-1], axis=-1) * np.tile(X, delta.shape[-1])
+    return np.concatenate([weight_part, delta], axis=-1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -217,16 +222,34 @@ def train_sgd(
     Each epoch shuffles the rows and walks them in batches of exactly
     ``batch_size`` (a short remainder batch is dropped). With ``clip`` set,
     per-example gradients are rescaled to norm at most clip before
-    averaging; with ``noise`` also set, centered Gaussian noise of standard
-    deviation noise * clip per coordinate is added to the averaged clipped
-    gradient, the usual private-SGD update. Noise without clipping has no
-    calibrated scale and is rejected.
+    averaging. With ``noise`` also set, each step adds centered Gaussian
+    noise of standard deviation noise * clip per coordinate to the *mean*
+    of the clipped gradients: ``noise`` is in units of clip on the mean,
+    which is sigma / batch_size for the noise multiplier sigma of Abadi et
+    al. (CCS 2016), whose noise of standard deviation sigma * clip goes on
+    the sum. Noise without clipping has no calibrated scale and is
+    rejected.
 
     ``seed`` may be an int or a Generator; the model instance is not
     mutated. The feature width and the labels are checked once, before the
     first step; each step then takes its batch's per-example gradients
     without checks.
     """
+    X, labels = _check_sgd(model, data, eta, batch_size, epochs, clip, noise)
+    thetas, schedule = _sgd(model, X, labels, [np.random.default_rng(seed)], eta, batch_size,
+                            epochs, clip, noise)
+    return TrainTrace(
+        model=ToyModel(model.arch, model.f, model.c, model.theta.copy()),
+        thetas=thetas[0],
+        eta=float(eta),
+        batch_size=int(batch_size),
+        batch_schedule=schedule[0],
+    )
+
+
+def _check_sgd(model: ToyModel, data, eta, batch_size, epochs, clip, noise):
+    """The checks of train_sgd; returns the (n, f) float features and the
+    checked labels."""
     X, y = data
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -247,34 +270,49 @@ def train_sgd(
             raise ValueError("noise must be >= 0")
         if clip is None:
             raise ValueError("noise requires a clipping threshold to calibrate against")
+    return X, labels
 
-    rng = np.random.default_rng(seed)
-    steps_per_epoch = n // batch_size
-    theta = model.theta.copy()
-    thetas = [theta.copy()]
-    schedule = []
-    for _ in range(epochs):
-        perm = rng.permutation(n)
-        for s in range(steps_per_epoch):
-            batch = perm[s * batch_size : (s + 1) * batch_size]
-            grads = model._grads(X[batch], labels[batch], theta)
+
+def _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise, swap=None, target=None):
+    """train_sgd's loop for len(rngs) runs at once, on checked rows.
+
+    Run r shuffles with, and draws its noise from, rngs[r], in the order a
+    single run draws them. Where swap[r] >= 0, run r trains on the rows with
+    row swap[r] replaced by ``target``, a (features, checked label) pair;
+    each step patches the gathered batch instead of copying X per run.
+    Returns every iterate, (R, steps + 1, d_p), and the batch schedule,
+    (R, steps, batch_size). Every step's gradients, clipping and means are
+    taken over the stack with the per-run operation order, so run r's
+    iterates equal, bit for bit, those of the same run made alone.
+    """
+    runs, n = len(rngs), X.shape[0]
+    per_epoch = n // batch_size
+    steps = epochs * per_epoch
+    thetas = np.empty((runs, steps + 1, model.d_p))
+    schedule = np.empty((runs, steps, batch_size), dtype=np.intp)
+    theta = np.repeat(model.theta[None, :], runs, axis=0)
+    thetas[:, 0] = theta
+    for e in range(epochs):
+        perms = np.array([rng.permutation(n) for rng in rngs])[:, : per_epoch * batch_size]
+        schedule[:, e * per_epoch : (e + 1) * per_epoch] = perms.reshape(runs, per_epoch, -1)
+        for k in range(e * per_epoch, (e + 1) * per_epoch):
+            batch = schedule[:, k]
+            X_b, y_b = X[batch], labels[batch]
+            if swap is not None:
+                hit = batch == swap[:, None]
+                X_b[hit] = target[0]
+                y_b[hit] = target[1]
+            grads = model._grads(X_b, y_b, theta)
             if clip is not None and np.isfinite(clip):
-                norms = np.linalg.norm(grads, axis=1)
+                norms = np.linalg.norm(grads, axis=-1)
                 factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-                grads = grads * factors[:, None]
-            g = grads.mean(axis=0)
+                grads = grads * factors[..., None]
+            g = grads.mean(axis=-2)
             if noise:
-                g = g + rng.standard_normal(model.d_p) * (noise * clip)
+                g = g + np.array([rng.standard_normal(model.d_p) for rng in rngs]) * (noise * clip)
             theta = theta - eta * g
-            thetas.append(theta.copy())
-            schedule.append(batch)
-    return TrainTrace(
-        model=ToyModel(model.arch, model.f, model.c, model.theta.copy()),
-        thetas=np.array(thetas),
-        eta=float(eta),
-        batch_size=int(batch_size),
-        batch_schedule=np.array(schedule, dtype=np.intp).reshape(len(schedule), batch_size),
-    )
+            thetas[:, k + 1] = theta
+    return thetas, schedule
 
 
 def reference_gradients(model: ToyModel, X, y, theta=None) -> np.ndarray:
@@ -311,33 +349,48 @@ def run_whitebox_attack(
     one call computes it along the whole path of pre-step iterates, and the
     loop over steps only scores.
     The covariance attack scores each step as a released mean of batch_size
-    gradients, lr_empirical_cov(g_batch, g_target, refs, batch_size), and
+    gradients, lr_empirical_cov(g_batch, g_target, refs, batch_size), with
+    both gradients centered in one block and whitened step by step, and
     the scalar attack scores the plain inner product
     g_target . g_batch. ``param_slice`` restricts both gradients to a
     contiguous parameter range (the last-layer trick); refs must match the
     sliced dimension.
     """
+    sl = _check_attack(trace.model.d_p, refs, attack, param_slice)
+    x, y = target_example
+    return _score_trace(trace, trace.model._grad_path(x, y, trace.thetas[:-1]), refs, attack, sl)
+
+
+def _check_attack(d_p: int, refs: ReferenceEstimates, attack: str, param_slice) -> slice:
+    """run_whitebox_attack's checks; returns the attacked parameter slice."""
     if attack not in ("covariance", "scalar"):
         raise ConfigError(f"attack must be 'covariance' or 'scalar', got {attack!r}")
-    x, y = target_example
-    model = trace.model
-    sl = _check_slice(param_slice, model.d_p)
+    sl = _check_slice(param_slice, d_p)
     if refs.d != sl.stop - sl.start:
         raise ValueError(
             f"reference estimates have dimension {refs.d} but the attacked slice has "
             f"{sl.stop - sl.start}"
         )
+    return sl
+
+
+def _score_trace(trace: TrainTrace, g_stars: np.ndarray, refs, attack: str, sl: slice) -> float:
+    """run_whitebox_attack after its checks, given the target's gradient at
+    every pre-step iterate, (steps, d_p)."""
     if trace.eta == 0.0:
-        g_batches = np.zeros((trace.steps, model.d_p))
+        g_batches = np.zeros((trace.steps, trace.model.d_p))
     else:
         g_batches = (trace.thetas[:-1] - trace.thetas[1:]) / trace.eta
-    g_stars = model._grad_path(x, y, trace.thetas[:-1])[:, sl]
+    g_stars = g_stars[:, sl]
+    g_batches = g_batches[:, sl]
     total = 0.0
-    for g_star, g_batch in zip(g_stars, g_batches[:, sl]):
-        if attack == "scalar":
+    if attack == "scalar":
+        for g_star, g_batch in zip(g_stars, g_batches):
             total += float(np.dot(g_star, g_batch))
-        else:
-            total += lr_empirical_cov(g_batch, g_star, refs, trace.batch_size)
+        return total
+    # lr_empirical_cov step by step, its checks made once for the trace
+    for u, v in zip(g_stars - refs.mu0, g_batches - refs.mu0):
+        total += _lr_centered(u, v, refs, trace.batch_size)
     return total
 
 
@@ -369,18 +422,37 @@ def run_whitebox_game(
     ``threads`` None runs serially; any other value must be an integer
     >= 1, as in run_crafter, or it is a ConfigError.
     """
+    sl = _check_attack(model.d_p, refs, attack, param_slice)
 
-    def read(trace, b):
-        return ScoredRound(run_whitebox_attack(trace, target_example, refs, attack, param_slice), b)
+    def read(trace, b, g_stars):
+        return ScoredRound(_score_trace(trace, g_stars, refs, attack, sl), b)
 
     return _play_reps(model, X, y, target_example, read, eta=eta, batch_size=batch_size,
                       reps=reps, master_seed=master_seed, epochs=epochs, clip=clip,
                       noise=noise, threads=threads)
 
 
+# Float64 entries in one chunk's (reps, batch_size, d_p) block of
+# per-example gradients, the largest per-step temporary of _sgd: 128 KiB,
+# glibc's default mmap threshold, so that the temporaries of every step
+# reuse heap memory instead of mapping and faulting in fresh pages. On the
+# benchmark's white-box shape, chunks of 1 MiB trained about a fifth slower.
+_CHUNK_FLOATS = 1 << 14
+
+
 def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, master_seed,
                epochs, clip, noise, threads) -> list:
-    """Train each rep of run_whitebox_game once and keep only read(trace, b)."""
+    """Train each rep of run_whitebox_game once and keep only
+    read(trace, b, g_stars), where g_stars is the target's gradient at each
+    pre-step iterate of the trace, as run_whitebox_attack takes it.
+
+    Rep r draws its coin, and on heads the row the target replaces, from
+    round_stream(master_seed, r), then trains on that stream. The reps are
+    split into chunks, at least one per worker and each small enough for
+    _CHUNK_FLOATS; one _sgd call trains a chunk, one _grad_path call takes
+    the target's gradients along all of its traces, and _map_rounds maps
+    the chunks. Scores do not depend on the split.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     X = np.asarray(X, dtype=np.float64)
@@ -393,22 +465,27 @@ def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, mast
             f"base rows already contain the target (row {dupes[0]}); "
             "the exclude branch would train on it anyway"
         )
+    X, labels = _check_sgd(model, (X, y), eta, batch_size, epochs, clip, noise)
+    # the target takes the place of a base row, so its label takes their dtype
+    label_t = model._check_labels(np.full(1, y_t, dtype=y.dtype))[0]
+    n = X.shape[0]
+    chunks = max(_resolve_threads(threads), -(-reps * batch_size * model.d_p // _CHUNK_FLOATS))
+    per_chunk = -(-reps // min(chunks, reps))
+    start = ToyModel(model.arch, model.f, model.c, model.theta.copy())
 
-    def one(r: int):
-        rng = round_stream(master_seed, r)
-        b = int(rng.integers(0, 2))
-        if b == 1:
-            j = int(rng.integers(0, X.shape[0]))
-            X_r = X.copy()
-            y_r = y.copy()
-            X_r[j] = x_t
-            y_r[j] = y_t
-        else:
-            X_r, y_r = X, y
-        trace = train_sgd(model, (X_r, y_r), eta, batch_size, epochs, clip, noise, seed=rng)
-        return read(trace, b)
+    def chunk(k: int) -> list:
+        reps_k = range(k * per_chunk, min(reps, (k + 1) * per_chunk))
+        rngs = [round_stream(master_seed, r) for r in reps_k]
+        bits = [int(rng.integers(0, 2)) for rng in rngs]
+        swap = np.array([int(rng.integers(0, n)) if b else -1 for rng, b in zip(rngs, bits)])
+        thetas, schedule = _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise,
+                                swap if any(bits) else None, (x_t, label_t))
+        g_stars = model._grad_path(x_t, y_t, thetas[:, :-1].reshape(-1, model.d_p))
+        g_stars = g_stars.reshape(len(rngs), -1, model.d_p)
+        return [read(TrainTrace(start, thetas[i], float(eta), int(batch_size), schedule[i]), b,
+                     g_stars[i]) for i, b in enumerate(bits)]
 
-    return _map_rounds(one, reps, threads)
+    return [out for part in _map_rounds(chunk, -(-reps // per_chunk), threads) for out in part]
 
 
 def make_blobs(n: int, f: int, c: int, *, center_scale: float = 2.0, spread: float = 1.0, seed=0):

@@ -12,7 +12,7 @@ import math
 
 import mpmath as mp
 import numpy as np
-from scipy import stats
+from scipy import linalg, stats
 from scipy.spatial import cKDTree
 from scipy.special import logsumexp
 
@@ -245,7 +245,9 @@ def train_sgd_steps(model, data, eta, batch_size, epochs, clip=None, noise=None,
 def whitebox_attack_steps(model, thetas, eta, batch_size, target, refs, attack, param_slice=None):
     """Sum of per-step white-box attack scores, taking the target's gradient
     with toy_grad_batch at each pre-step iterate, one call per step.
-    ``param_slice`` is a (start, stop) pair or None."""
+    ``param_slice`` is a (start, stop) pair or None. A full reference
+    covariance whitens both gradients with scipy.linalg.solve_triangular on
+    the Cholesky factor of c0 + ridge I."""
     x, y = target
     sl = slice(0, model.d_p) if param_slice is None else slice(*param_slice)
     steps = len(thetas) - 1
@@ -253,16 +255,52 @@ def whitebox_attack_steps(model, thetas, eta, batch_size, target, refs, attack, 
         g_batches = np.zeros((steps, model.d_p))
     else:
         g_batches = (thetas[:-1] - thetas[1:]) / eta
+    full = refs.c0.ndim == 2
+    if full:
+        factor = linalg.cholesky(refs.c0 + refs.ridge * np.eye(refs.d), lower=True)
+    else:
+        var = refs.c0 + refs.ridge
     total = 0.0
     for t in range(steps):
         g_star = toy_grad_batch(model, x, y, thetas[t])[0][sl]
         g_batch = g_batches[t][sl]
         if attack == "scalar":
             total += float(np.dot(g_star, g_batch))
+            continue
+        u, v = g_star - refs.mu0, g_batch - refs.mu0
+        if full:
+            wu = linalg.solve_triangular(factor, u, lower=True)
+            wv = linalg.solve_triangular(factor, v, lower=True)
+            cross, quad = float(np.dot(wu, wv)), float(np.dot(wu, wu))
         else:
-            cross, quad = refs.precision_pair(g_star - refs.mu0, g_batch - refs.mu0)
-            total += cross - quad / (2.0 * batch_size)
+            cross, quad = float(np.dot(u / var, v)), float(np.dot(u / var, u))
+        total += cross - quad / (2.0 * batch_size)
     return total
+
+
+def whitebox_game_reps(model, X, y, target, refs, attack, reps, master_seed, batch_size,
+                       param_slice=None, **sgd):
+    """(score, bit) of each rep of the include/exclude game, one rep at a
+    time: rep r keys a Philox generator by (master_seed, r), flips its coin,
+    on heads writes the target over a copy of the row it draws, then trains
+    with train_sgd_steps on that generator and scores with
+    whitebox_attack_steps. ``sgd`` holds eta, epochs, clip and noise."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y)
+    out = []
+    for r in range(reps):
+        rng = np.random.Generator(np.random.Philox(key=np.array([master_seed, r], dtype=np.uint64)))
+        b = int(rng.integers(0, 2))
+        X_r, y_r = X, y
+        if b:
+            j = int(rng.integers(0, len(X)))
+            X_r, y_r = X.copy(), y.copy()
+            X_r[j], y_r[j] = target
+        thetas = train_sgd_steps(model, (X_r, y_r), batch_size=batch_size, seed=rng, **sgd)
+        score = whitebox_attack_steps(model, thetas, sgd["eta"], batch_size, target, refs, attack,
+                                      param_slice)
+        out.append((score, b))
+    return out
 
 
 # ---------------------------------------------------------------------------

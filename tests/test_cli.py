@@ -347,17 +347,17 @@ class TestWhitebox:
     def test_each_rep_trains_once_for_both_attacks(self, tmp_path, monkeypatch):
         from mi_audit import whitebox
 
-        calls = []
-        real = whitebox.train_sgd
+        runs = []
+        real = whitebox._sgd
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counting(model, X, labels, rngs, *args):
+            runs.append(len(rngs))  # one SGD run per generator
+            return real(model, X, labels, rngs, *args)
 
-        monkeypatch.setattr(whitebox, "train_sgd", counting)
+        monkeypatch.setattr(whitebox, "_sgd", counting)
         cfg = write_json(tmp_path / "cfg.json", BLOB_CFG)
         assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "out")]) == 0
-        assert len(calls) == BLOB_CFG["reps"]
+        assert sum(runs) == BLOB_CFG["reps"]
 
     def test_threads_come_from_flag_env_or_config(self, tmp_path, monkeypatch):
         cfg = write_json(tmp_path / "cfg.json", BLOB_CFG)
@@ -461,6 +461,34 @@ class TestWhitebox:
             raw = np.loadtxt(out / f"scores_{attack}.csv", delimiter=",", skiprows=1)
             assert np.array_equal(raw[:, 1], [r.score for r in game])
             assert np.array_equal(raw[:, 2], [r.b for r in game])
+
+    @pytest.mark.parametrize("param_slice", [5, "12:15", {"start": 12}, [1.5, 4], ["a", 4],
+                                             [True, 4], [], [0, 1, 2, 3]])
+    def test_malformed_param_slice_exits_2(self, tmp_path, capsys, param_slice):
+        cfg = write_json(tmp_path / "cfg.json", dict(BLOB_CFG, param_slice=param_slice))
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "param_slice" in msg["message"]
+
+    def test_blob_model_has_the_spec_class_count(self, tmp_path, monkeypatch):
+        from mi_audit import cli, make_blobs
+
+        # this draw of 8 + 1 points has labels 0..3 only
+        blobs = {"n": 8, "f": 2, "c": 5, "seed": 12}
+        assert np.unique(make_blobs(9, 2, 5, seed=12)[1]).tolist() == [0, 1, 2, 3]
+        models = []
+        real = cli._play_reps
+
+        def recording(model, *args, **kwargs):
+            models.append(model)
+            return real(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_play_reps", recording)
+        spec = dict(BLOB_CFG, data={"blobs": blobs}, batch_size=4)
+        cfg = write_json(tmp_path / "cfg.json", spec)
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 0
+        assert [(m.c, m.d_p) for m in models] == [(5, 2 * 5 + 5)]
 
     def test_csv_data_keeps_float_labels_for_regression(self, tmp_path):
         rng = np.random.default_rng(56)

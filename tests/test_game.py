@@ -59,6 +59,32 @@ class TestRoundStream:
             round_stream(-1, 0)
         with pytest.raises(ValueError):
             round_stream(0, -1)
+        with pytest.raises(ValueError):
+            game._round_streams(-1)(0)
+
+    def test_rekeyed_stream_draws_what_a_new_stream_draws(self):
+        # each round leaves the reused generator in another state: a spare
+        # 32-bit half, a partly used 64-bit buffer, or both
+        leftovers = [
+            lambda g: g.integers(0, 2**32, dtype=np.uint32),
+            lambda g: g.random(3),
+            lambda g: (g.random(2), g.integers(0, 2**32, size=3, dtype=np.uint32)),
+            lambda g: g.binomial(40, 0.3, size=5),
+        ]
+        stream = game._round_streams(5)
+        left = []
+        for t, leave in enumerate(leftovers * 2):
+            got, want = stream(t), round_stream(5, t)
+            assert np.array_equal(got.integers(0, 2**32, size=3, dtype=np.uint32),
+                                  want.integers(0, 2**32, size=3, dtype=np.uint32))
+            assert np.array_equal(got.random(5), want.random(5))
+            assert np.array_equal(got.standard_normal(4), want.standard_normal(4))
+            assert np.array_equal(got.binomial(1000, 0.3, size=3), want.binomial(1000, 0.3, size=3))
+            leave(got)
+            state = got.bit_generator.state
+            left.append((state["has_uint32"], state["buffer_pos"]))
+        assert any(half == 1 for half, _ in left)
+        assert any(pos < 4 for _, pos in left)
 
 
 class TestCraft:

@@ -1,9 +1,12 @@
 """Attack scores: exact, asymptotic, estimated-reference, and variants."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import oracles
 from mi_audit import (
@@ -90,6 +93,38 @@ class TestReferenceEstimates:
         cov = B.T @ B / 12 + 0.1 * np.eye(7)
         refs = ReferenceEstimates(np.zeros(7), cov, n0=12)
         assert np.max(np.abs(refs._chol @ refs._chol.T - cov)) <= 1e-12
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_whitening_equals_scipy_solve_triangular(self, order, monkeypatch):
+        # scipy's cholesky returns a Fortran-ordered factor; a C-ordered one
+        # takes solve_triangular's transposed branch
+        rng = np.random.default_rng(25)
+        B = rng.normal(size=(30, 9))
+        cov = B.T @ B / 30
+        real = scipy.linalg.cholesky
+        monkeypatch.setattr(scipy.linalg, "cholesky",
+                            lambda *a, **kw: np.asarray(real(*a, **kw), order=order))
+        refs = ReferenceEstimates(np.zeros(9), cov, n0=30, ridge=1e-3)
+        assert refs._chol.flags[f"{order}_CONTIGUOUS"]
+        for u in rng.normal(size=(20, 9)) * 10.0 ** rng.integers(-3, 4, size=(20, 1)):
+            want = scipy.linalg.solve_triangular(refs._chol, u, lower=True)
+            assert np.array_equal(refs._whiten(u), want)
+        for bad in (np.inf, -np.inf, np.nan):
+            u = np.ones(9)
+            u[4] = bad
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                scipy.linalg.solve_triangular(refs._chol, u, lower=True)
+            with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+                refs.precision_quad(u)
+
+    def test_full_covariance_round_trips_through_pickle(self):
+        rng = np.random.default_rng(26)
+        B = rng.normal(size=(20, 6))
+        refs = ReferenceEstimates(rng.normal(size=6), B.T @ B / 20, n0=20, ridge=1e-3)
+        u, v = rng.normal(size=(2, 6))
+        for copied in (pickle.loads(pickle.dumps(refs)), copy.deepcopy(refs)):
+            assert np.array_equal(copied.c0, refs.c0)
+            assert copied.precision_pair(u, v) == refs.precision_pair(u, v)
 
     def test_rank_deficient_without_ridge_raises_with_eigenvalue(self):
         ones = np.ones((4, 1))

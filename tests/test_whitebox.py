@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.special import logsumexp
 
 import oracles
@@ -17,6 +16,7 @@ from mi_audit import (
     run_whitebox_game,
     train_sgd,
 )
+from mi_audit import score, whitebox
 from mi_audit.whitebox import _logsumexp_rows
 
 
@@ -86,7 +86,7 @@ class TestToyModel:
         with pytest.raises(ValueError):
             logistic_model.loss(x, 1.5)
 
-    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    @pytest.mark.parametrize("c", [2, 3, 4, 5, 7, 8, 9, 13])
     def test_row_logsumexp_equals_scipy_bit_for_bit(self, c):
         rng = np.random.default_rng(90 + c)
         blocks = [
@@ -96,7 +96,11 @@ class TestToyModel:
         blocks.append(np.repeat(rng.normal(size=(50, 1)) * 10, c, axis=1))  # all-equal rows
         blocks.append(rng.choice([-700.0, 700.0, 699.25, 0.0], size=(200, c)))
         logits = np.vstack(blocks)
-        assert np.array_equal(_logsumexp_rows(logits), logsumexp(logits, axis=1, keepdims=True))
+        want = logsumexp(logits, axis=1, keepdims=True)
+        assert np.array_equal(_logsumexp_rows(logits), want)
+        # a leading batch axis reduces each row as before
+        stacked = _logsumexp_rows(logits.reshape(5, 250, c))
+        assert np.array_equal(stacked.reshape(-1, 1), want)
 
     @pytest.mark.parametrize("c", [2, 3, 4, 5])
     def test_logistic_loss_equals_scipy_form_bit_for_bit(self, c):
@@ -340,13 +344,13 @@ class TestWhiteboxAttack:
             want += cross - quad / (2.0 * 6)
             explicit += float(u @ inv @ v) - float(u @ inv @ u) / (2.0 * 6)
         solves = []
-        real = scipy.linalg.solve_triangular
+        real = score._TRTRS
 
         def counting(*args, **kwargs):
             solves.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "solve_triangular", counting)
+        monkeypatch.setattr(score, "_TRTRS", counting)
         total = run_whitebox_attack(trace, target, refs, "covariance")
         assert trace.steps == 8
         assert len(solves) == 2 * trace.steps  # the target's gradient and the batch's
@@ -374,6 +378,26 @@ EXACT_CASES = {
 }
 
 
+def exact_case(case):
+    """Model, rows, target, SGD keywords, parameter slice and full-covariance
+    references of one EXACT_CASES entry."""
+    arch, c, kw, param_slice = EXACT_CASES[case]
+    rng = np.random.default_rng(sorted(EXACT_CASES).index(case) + 200)
+    f = 4
+    if arch == "linear":
+        X = rng.normal(size=(31, f))
+        y = X @ rng.normal(size=f) + 0.3 * rng.normal(size=31)
+        target = (np.full(f, 1.5), 4.0)
+    else:
+        X, y = make_blobs(31, f, c, seed=int(rng.integers(1 << 30)))
+        target = (np.full(f, 3.0), c - 1)
+    model = ToyModel(arch, f=f, c=c, theta=rng.normal(size=f * c + c) * 0.5)
+    sgd = {"eta": 0.05, "epochs": 1, **kw}
+    sl = slice(None) if param_slice is None else slice(*param_slice)
+    refs = estimate_reference(reference_gradients(model, X, y)[:, sl], cov_mode="full")
+    return model, X, y, target, sgd, param_slice, refs
+
+
 class TestExactAgainstPerStepCode:
     """train_sgd and run_whitebox_attack against the per-step code in
     tests/oracles.py: one scipy logsumexp and one gradient call per step.
@@ -381,30 +405,56 @@ class TestExactAgainstPerStepCode:
 
     @pytest.mark.parametrize("case", list(EXACT_CASES))
     def test_iterates_and_scores_match(self, case):
-        arch, c, kw, param_slice = EXACT_CASES[case]
-        rng = np.random.default_rng(sorted(EXACT_CASES).index(case) + 200)
-        f = 4
-        if arch == "linear":
-            X = rng.normal(size=(31, f))
-            y = X @ rng.normal(size=f) + 0.3 * rng.normal(size=31)
-            target = (np.full(f, 1.5), 4.0)
-        else:
-            X, y = make_blobs(31, f, c, seed=int(rng.integers(1 << 30)))
-            target = (np.full(f, 3.0), c - 1)
-        model = ToyModel(arch, f=f, c=c, theta=rng.normal(size=f * c + c) * 0.5)
-        sgd = {"eta": 0.05, "epochs": 1, **kw}
+        model, X, y, target, sgd, param_slice, refs = exact_case(case)
         trace = train_sgd(model, (X, y), batch_size=7, seed=11, **sgd)
         want = oracles.train_sgd_steps(model, (X, y), batch_size=7, seed=11, **sgd)
         assert np.array_equal(trace.thetas, want)
 
-        sl = slice(None) if param_slice is None else slice(*param_slice)
-        refs = estimate_reference(reference_gradients(model, X, y)[:, sl], cov_mode="full")
         for attack in ("covariance", "scalar"):
             got = run_whitebox_attack(trace, target, refs, attack, param_slice)
             ref = oracles.whitebox_attack_steps(
                 model, want, sgd["eta"], 7, target, refs, attack, param_slice
             )
             assert got == ref
+
+
+class TestStackedGameAgainstPerRepCode:
+    """run_whitebox_game trains a chunk of reps as one SGD run. Its scores
+    must equal, exactly, those of oracles.whitebox_game_reps, which trains
+    and scores one rep at a time, whatever the chunk size and thread count."""
+
+    @pytest.mark.parametrize("case", list(EXACT_CASES))
+    def test_scores_match_at_every_chunk_size(self, case, monkeypatch):
+        model, X, y, target, sgd, param_slice, refs = exact_case(case)
+        reps, batch = 7, 7
+        want = {
+            attack: oracles.whitebox_game_reps(model, X, y, target, refs, attack, reps, 19,
+                                               batch, param_slice, **sgd)
+            for attack in ("covariance", "scalar")
+        }
+        assert {b for _, b in want["covariance"]} == {0, 1}
+        runs = []
+        real = whitebox._sgd
+
+        def recording(model, X, labels, rngs, *args):
+            runs.append(len(rngs))
+            return real(model, X, labels, rngs, *args)
+
+        monkeypatch.setattr(whitebox, "_sgd", recording)
+        for per_chunk in (1, 3, reps):
+            monkeypatch.setattr(whitebox, "_CHUNK_FLOATS", per_chunk * batch * model.d_p)
+            for threads in (1, 3):
+                for attack in ("covariance", "scalar"):
+                    runs.clear()
+                    game = run_whitebox_game(
+                        model, X, y, target, batch_size=batch, refs=refs, attack=attack,
+                        reps=reps, master_seed=19, param_slice=param_slice, threads=threads,
+                        **sgd,
+                    )
+                    assert [(r.score, r.b) for r in game] == want[attack]
+                    assert sum(runs) == reps
+                    if threads == 1:
+                        assert max(runs) == per_chunk
 
 
 class TestWhiteboxGame:
