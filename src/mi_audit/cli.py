@@ -26,7 +26,7 @@ from . import __version__
 from ._util import ConfigError, NumericalError
 from .canary import estimate_reference, mahalanobis_score_est
 from .dist import ProductDistribution, target_from_spec
-from .game import GameConfig, ScoredRound, empirical_advantage, roc, run_fixed_game
+from .game import GameConfig, ScoredRound, _advantage, _play_fixed_game, _roc, roc
 from .mech import mechanism_from_spec
 from .theory import (
     _check_monotone,
@@ -47,10 +47,6 @@ from .whitebox import (
 
 _THREADS_HELP = "worker threads (env MI_AUDIT_THREADS); none runs serially"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _config_hash(obj) -> str:
@@ -77,11 +73,12 @@ def _write_json(path: str, obj) -> None:
         f.write("\n")
 
 
-def _write_csv(path: str, header: str, rows) -> None:
+def _write_csv(path: str, header: str, fmt: str, rows) -> None:
+    # one line fmt % row per row; floats take %.17g, the 17 significant
+    # digits that read back to the same double
     with open(path, "w", encoding="utf-8") as f:
         f.write(header + "\n")
-        for row in rows:
-            f.write(",".join(row) + "\n")
+        f.write("".join(map((fmt + "\n").__mod__, rows)))
 
 
 def _load_matrix_csv(path: str, skiprows: int = 0) -> np.ndarray:
@@ -164,7 +161,8 @@ def cmd_theory(args) -> int:
     _write_csv(
         os.path.join(out, "tradeoff.csv"),
         "alpha,power",
-        ([_fmt(a), _fmt(p)] for a, p in zip(curve.alphas, curve.powers)),
+        "%.17g,%.17g",
+        zip(curve.alphas.tolist(), curve.powers.tolist()),
     )
     profile = _meta(_run_hash(cfg), None)
     profile.update(
@@ -196,24 +194,22 @@ def cmd_simulate(args) -> int:
     raw["threads"] = _threads(args, raw)
     cfg = GameConfig.from_dict(raw)
 
-    rounds = run_fixed_game(cfg)
-    curve = roc(rounds)
+    scores, bits = _play_fixed_game(cfg)
+    curve = _roc(scores, bits)
     m_star = cfg.dist.leakage_score(cfg.z, cfg.n)
     m_eff = effective_leakage(cfg.dist, cfg.z, cfg.n, cfg.mech)
     theory = tradeoff_curve(cfg.dist, cfg.z, cfg.n, cfg.mech, 512)
-    bits = np.array([r.b for r in rounds])
     floor = min(1.0, 10.0 / max(1, min(int((bits == 0).sum()), int((bits == 1).sum()))))
 
     out = _out_dir(args)
     _write_csv(
         os.path.join(out, "rounds.csv"),
         "round,score,b",
-        ([str(t), _fmt(r.score), str(r.b)] for t, r in enumerate(rounds)),
+        "%d,%.17g,%d",
+        zip(range(cfg.rounds), scores.tolist(), bits.tolist()),
     )
     _write_csv(
-        os.path.join(out, "roc.csv"),
-        "fpr,tpr",
-        ([_fmt(f), _fmt(t)] for f, t in curve.points),
+        os.path.join(out, "roc.csv"), "fpr,tpr", "%.17g,%.17g", map(tuple, curve.points.tolist())
     )
     summary = _meta(_run_hash(raw), cfg.master_seed)
     summary.update(
@@ -221,7 +217,7 @@ def cmd_simulate(args) -> int:
             "m_star": m_star,
             "m_eff": m_eff,
             "auc": curve.auc,
-            "advantage_at_bayes_threshold": empirical_advantage(rounds, 0.0),
+            "advantage_at_bayes_threshold": _advantage(scores, bits, 0.0),
             "advantage_best_threshold": curve.best_advantage(),
             "theory_leakage": theory.leakage(),
             "sup_norm_gap": sup_norm_gap(curve.points, theory),
@@ -401,7 +397,8 @@ def cmd_whitebox(args) -> int:
         _write_csv(
             os.path.join(out, f"scores_{attack}.csv"),
             "rep,score,b",
-            ([str(t), _fmt(r.score), str(r.b)] for t, r in enumerate(game)),
+            "%d,%.17g,%d",
+            ((t, r.score, r.b) for t, r in enumerate(game)),
         )
 
     doc = _meta(_run_hash(cfg), master_seed)

@@ -125,6 +125,8 @@ class ProductDistribution:
         self._gauss = np.array(
             [i for i, c in enumerate(columns) if isinstance(c, Gaussian)], dtype=np.intp
         )
+        self._mu_bern = mu[self._bern]
+        self._mu_gauss = mu[self._gauss]
         self._gauss_sd = np.sqrt(sigma2[self._gauss])
 
     # -- construction helpers -------------------------------------------------
@@ -251,15 +253,34 @@ class ProductDistribution:
           rows: number of rows summed, >= 0.
           rng: a numpy Generator; consumed.
         """
+        raw = np.empty((1, self.d), dtype=np.float64)
+        self._draw_sums(rows, rng, raw[0])
+        return self._finish_sums(raw, [rows], np.empty_like(raw))[0]
+
+    def _draw_sums(self, rows: int, rng: np.random.Generator, raw: np.ndarray) -> None:
+        """The draws of sample_sums(rows, rng), in its order, written raw
+        into the length-d row ``raw`` in draw order: the Binomial(rows, p)
+        counts of the Bernoulli columns, then a standard normal for each
+        Gaussian column."""
         if rows < 0:
             raise ValueError("rows must be >= 0")
-        out = np.empty(self.d, dtype=np.float64)
-        bern, gauss = self._bern, self._gauss
-        if bern.size:
-            out[bern] = rng.binomial(rows, self._mu[bern])
-        if gauss.size:
-            noise = rng.standard_normal(gauss.size)
-            out[gauss] = rows * self._mu[gauss] + np.sqrt(rows) * self._gauss_sd * noise
+        nb = self._bern.size
+        if nb:
+            raw[:nb] = rng.binomial(rows, self._mu_bern)
+        if nb < self.d:
+            rng.standard_normal(out=raw[nb:])
+
+    def _finish_sums(self, raw: np.ndarray, rows, out: np.ndarray) -> np.ndarray:
+        """Column sums from a (T, d) block of _draw_sums rows, row i drawn
+        for rows[i] rows, written into ``out`` in column order and returned.
+        Each Gaussian sum is rows * mean + sqrt(rows) * sd * noise, element
+        by element the arithmetic of sample_sums, so a row finishes to the
+        same bits alone or in a block."""
+        nb = self._bern.size
+        out[:, self._bern] = raw[:, :nb]
+        if nb < self.d:
+            r = np.asarray(rows, dtype=np.float64)[:, None]
+            out[:, self._gauss] = r * self._mu_gauss + np.sqrt(r) * self._gauss_sd * raw[:, nb:]
         return out
 
     # -- Mahalanobis geometry -------------------------------------------------

@@ -13,6 +13,13 @@ Reproducibility contract: round t of a game with master seed s draws all of
 its randomness from a counter-based stream keyed by (s, t). Rounds are
 therefore independent of execution order and thread count, and a fixed seed
 yields bit-identical transcripts everywhere.
+
+Rounds are played in chunks. A chunk makes the draws of its rounds one
+round at a time, each on that round's own (s, t) stream, and then
+finishes, scores and keeps the whole chunk as arrays. Chunks group the
+arithmetic, never the randomness: every element is computed as the
+one-round path computes it, so neither the chunk size nor the worker count
+changes a bit of a transcript or a score.
 """
 
 from __future__ import annotations
@@ -202,6 +209,10 @@ def round_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+# a freshly keyed Philox's counter and buffer
+_PHILOX_ZEROS = (0, 0, 0, 0)
+
+
 def _round_streams(master_seed: int):
     """A callable t -> generator that draws exactly what
     round_stream(master_seed, t) draws.
@@ -210,8 +221,9 @@ def _round_streams(master_seed: int):
     key (master_seed, t), counter 0, an empty buffer and no 32-bit half
     left over, the state a freshly keyed Philox starts from. That costs a
     fraction of a new generator, whose constructor also seeds itself from
-    os.urandom before the key replaces the seed. A generator is valid until
-    the same thread asks for its next round.
+    os.urandom before the key replaces the seed; the state is given as
+    plain integers, which the setter reads faster than arrays. A generator
+    is valid until the same thread asks for its next round.
     """
     local = threading.local()
 
@@ -222,11 +234,8 @@ def _round_streams(master_seed: int):
             return gen
         gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([master_seed, t], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": _PHILOX_ZEROS, "key": (master_seed, t)},
+            "buffer": _PHILOX_ZEROS,
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,
@@ -241,16 +250,35 @@ def craft(dist: ProductDistribution, mech, n: int, z, rng: np.random.Generator):
 
     Draws the membership coin first; when it lands 1, the target takes the
     place of one of the n rows. Every supported release depends on its rows
-    only through their column sums, so ``mech.release`` draws those sums
+    only through their column sums, so ``mech.release``, here as the
+    one-round case of the chunk form that run_crafter uses, draws those sums
     from ``dist`` instead of materialising an n x d dataset. The release has
     the law of ``mech.apply`` on the planted dataset, for any real target,
     including one that is not a value of its columns.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    zv = as_vector(z, dist.d, "z")
-    b = int(rng.integers(0, 2))
-    return mech.release(dist, n, zv, b, rng), b
+    out = np.empty((1, dist.d), dtype=np.float64)
+    (b,) = _craft_rounds(dist, mech, n, as_vector(z, dist.d, "z"), [rng], out)
+    return out[0], b
+
+
+def _craft_rounds(dist, mech, n: int, zv: np.ndarray, rngs, out: np.ndarray) -> list[int]:
+    """craft for a chunk of rounds, on checked inputs: ``rngs`` yields each
+    round's generator in turn, row i of ``out`` receives round i's release,
+    and the bits come back in round order. The mechanism's chunk form makes
+    each round's draws on its generator before the next is asked for, so
+    one generator may be rekeyed from round to round."""
+    bits = []
+
+    def coins():
+        for rng in rngs:
+            b = int(rng.integers(0, 2))
+            bits.append(b)
+            yield b, rng
+
+    mech._release_rounds(dist, n, zv, coins(), out)
+    return bits
 
 
 def _resolve_threads(threads: int | None) -> int:
@@ -274,6 +302,32 @@ def _map_rounds(fn, count: int, threads: int | None) -> list:
         return list(ex.map(fn, range(count)))
 
 
+# Float64 entries in the largest block a chunk of a game works on: a chunk
+# of crafted rounds is (rounds, d), a chunk of white-box reps' per-example
+# gradients (reps, batch_size, d_p). 128 KiB is glibc's default mmap
+# threshold, so the temporaries of every chunk reuse heap memory instead
+# of mapping and faulting in fresh pages. On the benchmark's white-box
+# shape, chunks of 1 MiB trained about a fifth slower.
+_CHUNK_FLOATS = 1 << 14
+
+
+def _chunk_len(count: int, floats_each: int, threads: int | None, budget: int) -> int:
+    """Items per chunk when ``count`` items of ``floats_each`` floats each
+    are split into chunks of at most ``budget`` floats, or of one item,
+    with at least one chunk per worker and the chunks as even as that
+    allows."""
+    per = max(1, budget // floats_each)
+    chunks = max(_resolve_threads(threads), -(-count // per))
+    return -(-count // min(chunks, count))
+
+
+def _map_chunks(fn, count: int, size: int, threads: int | None) -> list:
+    """``fn(lo, hi)`` for each chunk [lo, hi) of ``size`` items of
+    range(count), in order, mapped by _map_rounds."""
+    return _map_rounds(lambda k: fn(k * size, min(count, (k + 1) * size)), -(-count // size),
+                       threads)
+
+
 def run_crafter(
     dist: ProductDistribution,
     mech,
@@ -292,17 +346,18 @@ def run_crafter(
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
     zv = as_vector(z, dist.d, "z")
     outputs = np.empty((rounds, dist.d), dtype=np.float64)
     bits = np.empty(rounds, dtype=np.uint8)
     stream = _round_streams(master_seed)
 
-    def one(t: int) -> None:
-        o, b = craft(dist, mech, n, zv, stream(t))
-        outputs[t] = o
-        bits[t] = b
+    def chunk(lo: int, hi: int) -> None:
+        rngs = map(stream, range(lo, hi))
+        bits[lo:hi] = _craft_rounds(dist, mech, n, zv, rngs, outputs[lo:hi])
 
-    _map_rounds(one, rounds, threads)
+    _map_chunks(chunk, rounds, _chunk_len(rounds, dist.d, threads, _CHUNK_FLOATS), threads)
     bits.flags.writeable = False
     outputs.flags.writeable = False
     return CrafterTranscript(outputs=outputs, bits=bits)
@@ -319,29 +374,80 @@ def _score_round(score_fn, o: np.ndarray, z, t: int) -> float:
     return s
 
 
+def _score_rows(score_fn, outputs: np.ndarray, z, first: int) -> np.ndarray:
+    """Scores of a block of released rows, row 0 being round ``first``.
+
+    A score with a block form (see :func:`mi_audit.score.make_score`)
+    scores the block in one call. If that call fails, or the score has no
+    block form, each row is scored alone, so a failure names its round as
+    _score_round does. A NaN score is rejected, naming the first round
+    that gave one.
+    """
+    block = getattr(score_fn, "block", None)
+    scores = None
+    if block is not None:
+        try:
+            scores = np.asarray(block(outputs, z), dtype=np.float64)
+        except Exception:  # rescored row by row below, to name the round
+            scores = None
+    if scores is None:
+        return np.array([_score_round(score_fn, o, z, first + i) for i, o in enumerate(outputs)],
+                        dtype=np.float64)
+    nan = np.flatnonzero(np.isnan(scores))
+    if nan.size:
+        raise NumericalError(f"round {first + int(nan[0])}: score is NaN")
+    return scores
+
+
+def _scored_rounds(scores: np.ndarray, bits: np.ndarray) -> list[ScoredRound]:
+    return [ScoredRound(score=s, b=b) for s, b in zip(scores.tolist(), bits.tolist())]
+
+
 def score_transcript(transcript: CrafterTranscript, score_fn, z) -> list[ScoredRound]:
     """Apply one score function to every round of a crafted transcript.
 
-    Score failures are re-raised with the round index attached; a NaN score
-    is rejected outright since it would poison every threshold comparison
-    downstream.
+    Rounds are scored a chunk at a time, through the score's block form
+    when it has one. Score failures are re-raised with the round index
+    attached; a NaN score is rejected outright since it would poison every
+    threshold comparison downstream.
     """
-    return [
-        ScoredRound(score=_score_round(score_fn, o, z, t), b=int(b))
-        for t, (o, b) in enumerate(zip(transcript.outputs, transcript.bits))
-    ]
+    outputs = transcript.outputs
+    T, d = outputs.shape
+    size = _chunk_len(T, d, None, _CHUNK_FLOATS)
+    scores = [_score_rows(score_fn, outputs[lo:lo + size], z, lo) for lo in range(0, T, size)]
+    return _scored_rounds(np.concatenate(scores), transcript.bits)
+
+
+def _play_fixed_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """run_fixed_game as (scores, bits) arrays.
+
+    Each chunk of rounds is crafted and scored in turn, and only its scores
+    and bits are kept, so a game holds one chunk of releases per worker
+    whatever its round count. The values are those of scoring the whole
+    run_crafter transcript with score_transcript.
+    """
+    score_fn = make_score(
+        cfg.score_name, dist=cfg.dist, n=cfg.n, mech=cfg.mech, **cfg.score_kwargs
+    )
+    d, rounds = cfg.dist.d, cfg.rounds
+    zv = as_vector(cfg.z, d, "z")
+    scores = np.empty(rounds, dtype=np.float64)
+    bits = np.empty(rounds, dtype=np.uint8)
+    stream = _round_streams(cfg.master_seed)
+
+    def chunk(lo: int, hi: int) -> None:
+        out = np.empty((hi - lo, d), dtype=np.float64)
+        bits[lo:hi] = _craft_rounds(cfg.dist, cfg.mech, cfg.n, zv, map(stream, range(lo, hi)), out)
+        scores[lo:hi] = _score_rows(score_fn, out, cfg.z, lo)
+
+    _map_chunks(chunk, rounds, _chunk_len(rounds, d, cfg.threads, _CHUNK_FLOATS), cfg.threads)
+    return scores, bits
 
 
 def run_fixed_game(cfg: GameConfig) -> list[ScoredRound]:
     """Run a full fixed-target game: craft a transcript under cfg's seed and
     score it with the configured attack."""
-    score_fn = make_score(
-        cfg.score_name, dist=cfg.dist, n=cfg.n, mech=cfg.mech, **cfg.score_kwargs
-    )
-    transcript = run_crafter(
-        cfg.dist, cfg.mech, cfg.n, cfg.z, cfg.rounds, cfg.master_seed, cfg.threads
-    )
-    return score_transcript(transcript, score_fn, cfg.z)
+    return _scored_rounds(*_play_fixed_game(cfg))
 
 
 def run_average_game(
@@ -379,13 +485,18 @@ def run_average_game(
 
 
 def _arrays(rounds) -> tuple[np.ndarray, np.ndarray]:
-    if len(rounds) == 0:
+    # scores and bits of objects with .score and .b
+    return (np.array([r.score for r in rounds], dtype=np.float64),
+            np.array([r.b for r in rounds], dtype=np.float64))
+
+
+def _checked(scores, bits) -> tuple[np.ndarray, np.ndarray]:
+    s = np.asarray(scores, dtype=np.float64)
+    if len(s) == 0:
         raise ValueError("no rounds")
-    s = np.array([r.score for r in rounds], dtype=np.float64)
-    y = np.array([r.b for r in rounds], dtype=np.float64)
     if np.any(np.isnan(s)):
         raise ValueError("scores contain NaN")
-    return s, y
+    return s, np.asarray(bits, dtype=np.float64)
 
 
 def roc(rounds) -> RocCurve:
@@ -398,7 +509,12 @@ def roc(rounds) -> RocCurve:
     Raises:
       ValueError: if either class is missing.
     """
-    s, y = _arrays(rounds)
+    return _roc(*_arrays(rounds))
+
+
+def _roc(scores, bits) -> RocCurve:
+    # roc of a scores array and its bits array
+    s, y = _checked(scores, bits)
     n1 = float(y.sum())
     n0 = float(len(y) - n1)
     if n0 == 0 or n1 == 0:
@@ -420,6 +536,11 @@ def roc(rounds) -> RocCurve:
 
 def empirical_advantage(rounds, threshold: float) -> float:
     """Centered accuracy of the threshold test: 2 * mean(1{(score > t) == b}) - 1."""
-    s, y = _arrays(rounds)
+    return _advantage(*_arrays(rounds), threshold)
+
+
+def _advantage(scores, bits, threshold: float) -> float:
+    # empirical_advantage of a scores array and its bits array
+    s, y = _checked(scores, bits)
     guesses = (s > threshold).astype(np.float64)
     return float(2.0 * np.mean(guesses == y) - 1.0)

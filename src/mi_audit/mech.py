@@ -5,8 +5,12 @@ an (n, d) dataset and an RNG stream. ``release`` draws the same law without
 the dataset: every mechanism here depends on its rows only through their
 column sums, so it asks a :class:`~mi_audit.dist.ProductDistribution` for
 the sums of the rows it averages and adds the planted target itself. The
-game crafter uses ``release``. Mechanisms are immutable value objects so one
-instance can be shared across concurrent game rounds.
+game crafter calls the chunk form of ``release``, of which ``release`` is
+the one-round case: each round makes its draws in ``release``'s order on
+its own generator, and one pass of array arithmetic then finishes the
+whole chunk, element by element as ``release`` finishes one round.
+Mechanisms are immutable value objects so one instance can be shared
+across concurrent game rounds.
 """
 
 from __future__ import annotations
@@ -33,13 +37,20 @@ def _check_dataset(D) -> np.ndarray:
     return D
 
 
-def _planted_mean(dist, rows: int, z: np.ndarray, b: int, rng: np.random.Generator):
-    # mean of `rows` i.i.d. rows, one of which is z when b is 1:
-    # (S(rows - b) + b z) / rows
-    s = dist.sample_sums(rows - b, rng)
-    if b:
-        s += z
-    return s / rows
+def _planted_means(dist, rows: int, z: np.ndarray, planted, raw: np.ndarray, out: np.ndarray):
+    # finish a block of _draw_sums rows into out, as means of `rows` rows
+    # with the target among them in row i when planted[i] is 1:
+    # (S(rows - planted) + planted z) / rows
+    planted = np.asarray(planted, dtype=np.intp)
+    dist._finish_sums(raw, rows - planted, out)
+    out[planted == 1] += z
+    out /= rows
+    return out
+
+
+def _release(mech, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
+    # a mechanism's release: the one-round case of its _release_rounds
+    return mech._release_rounds(dist, n, z, [(b, rng)], np.empty((1, dist.d)))[0]
 
 
 def subsample_count(rho: float, n: int) -> int:
@@ -62,7 +73,19 @@ class EmpiricalMean:
     def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
         """Mean of n i.i.d. rows of ``dist``, one of them replaced by the
         target ``z`` when b is 1: (S(n - b) + b z) / n, S the column sums."""
-        return _planted_mean(dist, n, z, b, rng)
+        return _release(self, dist, n, z, b, rng)
+
+    def _release_rounds(self, dist, n: int, z: np.ndarray, rounds, out: np.ndarray):
+        """release for a chunk of rounds. ``rounds`` yields each round's
+        (b, rng) in order, and row i of ``out`` receives round i's release.
+        Each round makes release's draws on its own generator; one pass
+        then finishes the block."""
+        raw = np.empty_like(out)
+        planted = []
+        for i, (b, rng) in enumerate(rounds):
+            dist._draw_sums(n - b, rng, raw[i])
+            planted.append(b)
+        return _planted_means(dist, n, z, planted, raw, out)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -101,9 +124,23 @@ class NoisyMean:
 
     def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
         """The exact mean of :meth:`EmpiricalMean.release`, then the noise."""
+        return _release(self, dist, n, z, b, rng)
+
+    def _release_rounds(self, dist, n: int, z: np.ndarray, rounds, out: np.ndarray):
+        """release for a chunk of rounds, as :meth:`EmpiricalMean._release_rounds`;
+        each round draws its noise after its sums."""
         self._check_columns(dist.d)
-        mean = _planted_mean(dist, n, z, b, rng)
-        return mean + rng.standard_normal(dist.d) * (self.gamma / np.sqrt(n))
+        raw = np.empty_like(out)
+        noise = np.empty_like(out)
+        planted = []
+        for i, (b, rng) in enumerate(rounds):
+            dist._draw_sums(n - b, rng, raw[i])
+            rng.standard_normal(out=noise[i])
+            planted.append(b)
+        _planted_means(dist, n, z, planted, raw, out)
+        noise *= self.gamma / np.sqrt(n)
+        out += noise
+        return out
 
 
 @dataclasses.dataclass(frozen=True)
@@ -142,9 +179,19 @@ class SubsampledMean:
         """Mean of the k kept rows. A planted target is kept with
         probability k / n, i ~ Bernoulli(k / n), and the release is then
         (S(k - i) + i z) / k."""
+        return _release(self, dist, n, z, b, rng)
+
+    def _release_rounds(self, dist, n: int, z: np.ndarray, rounds, out: np.ndarray):
+        """release for a chunk of rounds, as :meth:`EmpiricalMean._release_rounds`;
+        only a heads round draws whether its target is kept."""
         k = self.k(n)
-        kept = b == 1 and rng.random() < k / n
-        return _planted_mean(dist, k, z, int(kept), rng)
+        raw = np.empty_like(out)
+        kept = []
+        for i, (b, rng) in enumerate(rounds):
+            i_kept = int(b == 1 and rng.random() < k / n)
+            dist._draw_sums(k - i_kept, rng, raw[i])
+            kept.append(i_kept)
+        return _planted_means(dist, k, z, kept, raw, out)
 
 
 def mechanism_from_spec(obj: dict):

@@ -118,11 +118,16 @@ class ReferenceEstimates:
     def is_diagonal(self) -> bool:
         return self._chol is None
 
-    def _whiten(self, u: np.ndarray) -> np.ndarray:
-        # solve_triangular(self._chol, u, lower=True) bit for bit, with its
-        # finiteness check on u but without its per-call dispatch
-        if not np.isfinite(u).all():
+    def _check_finite(self, *arrays: np.ndarray) -> None:
+        # solve_triangular's finiteness check on its right-hand side, made
+        # once for whole blocks of them before _whiten takes them one by
+        # one; the diagonal path makes none
+        if self._chol is not None and not all(np.isfinite(a).all() for a in arrays):
             raise ValueError("array must not contain infs or NaNs")
+
+    def _whiten(self, u: np.ndarray) -> np.ndarray:
+        # solve_triangular(self._chol, u, lower=True) bit for bit, without
+        # its per-call dispatch; the caller has made _check_finite
         w, info = _TRTRS(self._tri, u, lower=self._lower, trans=int(not self._lower))
         if info != 0:
             raise scipy.linalg.LinAlgError(f"triangular solve failed: trtrs info {info}")
@@ -133,6 +138,7 @@ class ReferenceEstimates:
         u = as_vector(u, self.d, "u")
         if self._chol is None:
             return _diag_bilinear(u, self._var, u)
+        self._check_finite(u)
         w = self._whiten(u)
         return float(np.dot(w, w))
 
@@ -142,7 +148,9 @@ class ReferenceEstimates:
         On the full-matrix path u and v are whitened once each: two
         triangular solves for both quantities.
         """
-        return self._pair(as_vector(u, self.d, "u"), as_vector(v, self.d, "v"))
+        u, v = as_vector(u, self.d, "u"), as_vector(v, self.d, "v")
+        self._check_finite(u, v)
+        return self._pair(u, v)
 
     def _pair(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
         # precision_pair on inputs the caller has already checked
@@ -150,6 +158,17 @@ class ReferenceEstimates:
             return _diag_bilinear(u, self._var, v), _diag_bilinear(u, self._var, u)
         w = self._whiten(u)
         return float(np.dot(w, self._whiten(v))), float(np.dot(w, w))
+
+    def _pair_rows(self, u: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
+        # _pair(u, v) for every row v of a (T, d) block: the T cross terms,
+        # each the same np.dot of two vectors as _pair's, and the one
+        # quadratic term. A mat-vec would sum in another order.
+        if self._chol is None:
+            w = u / self._var
+            return np.fromiter(map(w.dot, V), np.float64, len(V)), float(np.dot(w, u))
+        w = self._whiten(u)
+        cross = np.fromiter((np.dot(w, self._whiten(v)) for v in V), np.float64, len(V))
+        return cross, float(np.dot(w, w))
 
 
 class OracleMoments(ReferenceEstimates):
@@ -198,7 +217,13 @@ def lr_exact_bernoulli(mu_hat, z, mu) -> float:
     legitimate score value, not an error.
     """
     mu = as_vector(mu, name="mu")
-    mu_hat = as_vector(mu_hat, mu.shape[0], "mu_hat")
+    return float(_exact_bernoulli(as_vector(mu_hat, mu.shape[0], "mu_hat"), z, mu))
+
+
+def _exact_bernoulli(mu_hat: np.ndarray, z, mu: np.ndarray):
+    # lr_exact_bernoulli of a release (d,) or of each row of a block (T, d):
+    # element-wise terms, then one sum per row, which adds a row's terms in
+    # the same order whether the row stands alone or in a block
     zv = as_vector(z, mu.shape[0], "z")
     if np.any(mu <= 0) or np.any(mu >= 1):
         raise ValueError("mu must lie strictly inside (0, 1) component-wise")
@@ -210,7 +235,7 @@ def lr_exact_bernoulli(mu_hat, z, mu) -> float:
     with np.errstate(divide="ignore"):
         log_present = np.log(mu_hat) - np.log(mu)
         log_absent = np.log1p(-mu_hat) - np.log1p(-mu)
-    return float(np.sum(np.where(ones, log_present, log_absent)))
+    return np.sum(np.where(ones, log_present, log_absent), axis=-1)
 
 
 def lr_asymptotic(mu_hat, z, om: OracleMoments, n: int) -> float:
@@ -232,12 +257,22 @@ def lr_empirical_cov(mu_hat, z, refs: ReferenceEstimates, n: int) -> float:
         raise ValueError("n must be >= 1")
     u = as_vector(z, refs.d, "z") - refs.mu0
     v = as_vector(mu_hat, refs.d, "mu_hat") - refs.mu0
+    refs._check_finite(u, v)
     return _lr_centered(u, v, refs, n)
 
 
 def _lr_centered(u: np.ndarray, v: np.ndarray, refs: ReferenceEstimates, n: int) -> float:
     # lr_empirical_cov on checked, centered inputs u = z - mu0, v = mu_hat - mu0
     cross, quad = refs._pair(u, v)
+    return cross - quad / (2.0 * n)
+
+
+def _lr_rows(mu_hats, z, refs: ReferenceEstimates, n: int) -> np.ndarray:
+    # lr_empirical_cov of each row of a (T, d) block of releases
+    u = as_vector(z, refs.d, "z") - refs.mu0
+    V = _as_rows(mu_hats, refs.d, "mu_hat") - refs.mu0
+    refs._check_finite(u, V)
+    cross, quad = refs._pair_rows(u, V)
     return cross - quad / (2.0 * n)
 
 
@@ -249,6 +284,14 @@ def scalar_product(mu_hat, z, z_ref) -> float:
     ref = as_vector(z_ref, zv.shape[0], "z_ref")
     v = as_vector(mu_hat, zv.shape[0], "mu_hat")
     return float(np.dot(zv - ref, v))
+
+
+def _as_rows(x, d: int, name: str) -> np.ndarray:
+    # a (T, d) float64 block of releases, one per row
+    v = np.asarray(x, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != d:
+        raise ValueError(f"{name} must be a (T, {d}) block, got shape {v.shape}")
+    return v
 
 
 def _noise_inflated(om: OracleMoments, gamma) -> OracleMoments:
@@ -282,19 +325,30 @@ def lr_subsampled(mu_hat_sub, z, om: OracleMoments, rho: float, n: int) -> float
     dropped: it needs third moments the side-information model does not
     carry, and it vanishes faster than the retained terms at auditing scales.
     """
+    k = _subsample_size(rho, n)
+    return float(_subsampled(as_vector(mu_hat_sub, om.d, "mu_hat_sub"), z, om, rho, k))
+
+
+def _subsample_size(rho: float, n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     k = subsample_count(rho, n)
     if k < 2:
         raise ValueError(f"subsample size must be >= 2, got k={k} from rho={rho}, n={n}")
+    return k
+
+
+def _subsampled(mu_hat_sub: np.ndarray, z, om: OracleMoments, rho: float, k: int):
+    # lr_subsampled of a release (d,) or of each row of a block (T, d),
+    # summed per row as _exact_bernoulli is
     sigma = np.sqrt(om.sigma2)
-    diff = as_vector(mu_hat_sub, om.d, "mu_hat_sub") - om.mu
+    diff = mu_hat_sub - om.mu
     zv = as_vector(z, om.d, "z")
     d_out = np.sqrt(k) * diff / sigma
     d_in = (k * diff + (om.mu - zv)) / (np.sqrt(k - 1.0) * sigma)
     q = np.square(d_out) - np.square(d_in)
     w = (rho / 2.0) * q + (rho * (1.0 - rho) / 8.0) * np.square(q) + rho / (2.0 * k)
-    return float(np.sum(w))
+    return np.sum(w, axis=-1)
 
 
 def lr_misspecified(mu_hat, z_targ, om: OracleMoments, n: int) -> float:
@@ -332,6 +386,10 @@ def make_score(
     """Bind side information to a named score and return a callable
     ``score(o, z) -> float``.
 
+    The callable also carries ``score.block(O, z)``, its values on every
+    row of a (T, d) block of releases as a length-T array, bit for bit
+    those of one call per row; the game loops score through it.
+
     Defaults are resolved from the distribution and, where it makes sense,
     from the mechanism: lr_noisy takes gamma from a NoisyMean mechanism,
     lr_subsampled takes rho from a SubsampledMean, and scalar_product falls
@@ -353,32 +411,56 @@ def make_score(
     if name == "lr_exact_bernoulli":
         if not dist.all_bernoulli:
             raise ConfigError("lr_exact_bernoulli needs a distribution of Bernoulli columns")
-        return lambda o, z: lr_exact_bernoulli(o, z, mu)
+        return _bound(lambda o, z: lr_exact_bernoulli(o, z, mu),
+                      lambda O, z: _exact_bernoulli(_as_rows(O, dist.d, "mu_hat"), z, mu))
     if name == "lr_asymptotic":
-        return lambda o, z: lr_empirical_cov(o, z, om, n)
+        return _bound_lr(om, n)
     if name == "lr_empirical_cov":
         if refs is None:
             raise ConfigError("lr_empirical_cov needs reference estimates")
-        return lambda o, z: lr_empirical_cov(o, z, refs, n)
+        return _bound_lr(refs, n)
     if name == "scalar_product":
         ref = mu if z_ref is None else as_vector(z_ref, dist.d, "z_ref")
-        return lambda o, z: scalar_product(o, z, ref)
+
+        def scalar_rows(O, z):
+            w = as_vector(z, name="z") - as_vector(ref, dist.d, "z_ref")
+            V = _as_rows(O, w.shape[0], "mu_hat")
+            return np.fromiter(map(w.dot, V), np.float64, len(V))
+
+        return _bound(lambda o, z: scalar_product(o, z, ref), scalar_rows)
     if name == "lr_noisy":
         if gamma is None and isinstance(mech, NoisyMean):
             gamma = mech.gamma
         if gamma is None:
             raise ConfigError("lr_noisy needs gamma (or a NoisyMean mechanism)")
-        noisy = _noise_inflated(om, gamma)
-        return lambda o, z: lr_empirical_cov(o, z, noisy, n)
+        return _bound_lr(_noise_inflated(om, gamma), n)
     if name == "lr_subsampled":
         if rho is None and isinstance(mech, SubsampledMean):
             rho = mech.rho
         if rho is None:
             raise ConfigError("lr_subsampled needs rho (or a SubsampledMean mechanism)")
         r = float(rho)
-        return lambda o, z: lr_subsampled(o, z, om, r, n)
+        return _bound(
+            lambda o, z: lr_subsampled(o, z, om, r, n),
+            lambda O, z: _subsampled(_as_rows(O, om.d, "mu_hat_sub"), z, om, r,
+                                     _subsample_size(r, n)),
+        )
     # lr_misspecified
     if z_targ is None:
         raise ConfigError("lr_misspecified needs the guessed target z_targ")
-    guess = as_vector(z_targ, dist.d, "z_targ")
-    return lambda o, z: lr_empirical_cov(o, guess, om, n)
+    return _bound_lr(om, n, guess=as_vector(z_targ, dist.d, "z_targ"))
+
+
+def _bound(score, block):
+    # a bound score, carrying its block form
+    score.block = block
+    return score
+
+
+def _bound_lr(refs: ReferenceEstimates, n: int, guess=None):
+    # lr_empirical_cov on refs, against each round's target or a fixed guess
+    def target(z):
+        return z if guess is None else guess
+
+    return _bound(lambda o, z: lr_empirical_cov(o, target(z), refs, n),
+                  lambda O, z: _lr_rows(O, target(z), refs, n))

@@ -349,6 +349,23 @@ class TradeoffCurve:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         return self.q * gdp_delta(self.m_eff, float(np.log1p(np.expm1(epsilon) / self.q)))
 
+    def _dense_polyline(self, step: float) -> np.ndarray:
+        """The closed form as the polyline sup_norm_gap measures against,
+        densified to ``step``: made on the first call for a step, then
+        kept on the curve. The kept copies are neither fields nor pickled
+        state, so equality and pickles of the curve do not see them."""
+        cache = self.__dict__.setdefault("_dense", {})
+        if step not in cache:
+            dense = _dense(_theory_polyline(self.m_eff, self.q), step)
+            dense.flags.writeable = False
+            cache[step] = dense
+        return cache[step]
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_dense", None)
+        return state
+
 
 def tradeoff_curve(dist, z, n: int, mech=None, num: int = 512) -> TradeoffCurve:
     """The trade-off curve of the optimal attack on ``mech``, tabulated on
@@ -480,8 +497,16 @@ def polyline_gap(a, b, step: float = 5e-4) -> float:
       ValueError: if either input is not an (N, 2) array with N >= 2, or a
         coordinate decreases (or is NaN) along it.
     """
-    pa = _densify(_check_monotone(_coerce_points(a)), step)
-    pb = _densify(_check_monotone(_coerce_points(b)), step)
+    return _dense_gap(_dense(a, step), _dense(b, step))
+
+
+def _dense(poly, step: float) -> np.ndarray:
+    # a checked polyline, densified to step
+    return _densify(_check_monotone(_coerce_points(poly)), step)
+
+
+def _dense_gap(pa: np.ndarray, pb: np.ndarray) -> float:
+    # polyline_gap of two densified polylines
     return max(_directed_gap(pa, pb), _directed_gap(pb, pa))
 
 
@@ -499,8 +524,11 @@ def sup_norm_gap(points, m_eff, step: float = 5e-4) -> float:
     the resolution limit of a finite game, while the curves themselves can
     still be uniformly close.
     """
-    m, q = _closed_form(m_eff)
-    return polyline_gap(points, _theory_polyline(m, q), step)
+    if isinstance(m_eff, TradeoffCurve):
+        theory = m_eff._dense_polyline(step)
+    else:
+        theory = _dense(_theory_polyline(*_closed_form(m_eff)), step)
+    return _dense_gap(_dense(points, step), theory)
 
 
 def vertical_gap(points, m_eff, alpha_min: float = 0.0) -> float:

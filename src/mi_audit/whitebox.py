@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from ._util import ConfigError, as_vector
-from .game import ScoredRound, _map_rounds, _resolve_threads, round_stream
+from .game import _CHUNK_FLOATS, ScoredRound, _chunk_len, _map_chunks, round_stream
 from .score import ReferenceEstimates, _lr_centered
 
 __all__ = [
@@ -389,7 +389,9 @@ def _score_trace(trace: TrainTrace, g_stars: np.ndarray, refs, attack: str, sl: 
             total += float(np.dot(g_star, g_batch))
         return total
     # lr_empirical_cov step by step, its checks made once for the trace
-    for u, v in zip(g_stars - refs.mu0, g_batches - refs.mu0):
+    U, V = g_stars - refs.mu0, g_batches - refs.mu0
+    refs._check_finite(U, V)
+    for u, v in zip(U, V):
         total += _lr_centered(u, v, refs, trace.batch_size)
     return total
 
@@ -432,14 +434,6 @@ def run_whitebox_game(
                       noise=noise, threads=threads)
 
 
-# Float64 entries in one chunk's (reps, batch_size, d_p) block of
-# per-example gradients, the largest per-step temporary of _sgd: 128 KiB,
-# glibc's default mmap threshold, so that the temporaries of every step
-# reuse heap memory instead of mapping and faulting in fresh pages. On the
-# benchmark's white-box shape, chunks of 1 MiB trained about a fifth slower.
-_CHUNK_FLOATS = 1 << 14
-
-
 def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, master_seed,
                epochs, clip, noise, threads) -> list:
     """Train each rep of run_whitebox_game once and keep only
@@ -448,10 +442,15 @@ def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, mast
 
     Rep r draws its coin, and on heads the row the target replaces, from
     round_stream(master_seed, r), then trains on that stream. The reps are
-    split into chunks, at least one per worker and each small enough for
-    _CHUNK_FLOATS; one _sgd call trains a chunk, one _grad_path call takes
-    the target's gradients along all of its traces, and _map_rounds maps
-    the chunks. Scores do not depend on the split.
+    split into chunks by the games' one rule (game._chunk_len), at least
+    one per worker and each within _CHUNK_FLOATS of per-example gradients,
+    the largest per-step temporary of _sgd; one _sgd call trains a chunk,
+    one _grad_path call takes the target's gradients along all of its
+    traces, and _map_chunks maps the chunks. Scores do not depend on the
+    split.
+
+    The target is trained and scored with one label: y_t cast to the base
+    labels' dtype, which must keep its value.
     """
     if reps < 1:
         raise ValueError("reps must be >= 1")
@@ -467,25 +466,27 @@ def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, mast
         )
     X, labels = _check_sgd(model, (X, y), eta, batch_size, epochs, clip, noise)
     # the target takes the place of a base row, so its label takes their dtype
-    label_t = model._check_labels(np.full(1, y_t, dtype=y.dtype))[0]
+    cast = np.full(1, y_t, dtype=y.dtype)
+    if not cast[0] == y_t:
+        raise ValueError(f"target label {y_t!r} would train as {cast[0]!r}, "
+                         f"the base labels being {y.dtype}")
+    label_t = model._check_labels(cast)[0]
     n = X.shape[0]
-    chunks = max(_resolve_threads(threads), -(-reps * batch_size * model.d_p // _CHUNK_FLOATS))
-    per_chunk = -(-reps // min(chunks, reps))
+    per_chunk = _chunk_len(reps, batch_size * model.d_p, threads, _CHUNK_FLOATS)
     start = ToyModel(model.arch, model.f, model.c, model.theta.copy())
 
-    def chunk(k: int) -> list:
-        reps_k = range(k * per_chunk, min(reps, (k + 1) * per_chunk))
-        rngs = [round_stream(master_seed, r) for r in reps_k]
+    def chunk(lo: int, hi: int) -> list:
+        rngs = [round_stream(master_seed, r) for r in range(lo, hi)]
         bits = [int(rng.integers(0, 2)) for rng in rngs]
         swap = np.array([int(rng.integers(0, n)) if b else -1 for rng, b in zip(rngs, bits)])
         thetas, schedule = _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise,
                                 swap if any(bits) else None, (x_t, label_t))
-        g_stars = model._grad_path(x_t, y_t, thetas[:, :-1].reshape(-1, model.d_p))
+        g_stars = model._grad_path(x_t, label_t, thetas[:, :-1].reshape(-1, model.d_p))
         g_stars = g_stars.reshape(len(rngs), -1, model.d_p)
         return [read(TrainTrace(start, thetas[i], float(eta), int(batch_size), schedule[i]), b,
                      g_stars[i]) for i, b in enumerate(bits)]
 
-    return [out for part in _map_rounds(chunk, -(-reps // per_chunk), threads) for out in part]
+    return [out for part in _map_chunks(chunk, reps, per_chunk, threads) for out in part]
 
 
 def make_blobs(n: int, f: int, c: int, *, center_scale: float = 2.0, spread: float = 1.0, seed=0):

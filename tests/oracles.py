@@ -348,6 +348,63 @@ def average_round_rows(dist, mech, n, score, rng):
 
 
 # ---------------------------------------------------------------------------
+# mi-audit simulate, one round at a time (explicit draws, brute-force ROC)
+
+def simulate_csvs_ref(columns, mechanism, n, z, rounds, master_seed):
+    """The rounds.csv and roc.csv text that `mi-audit simulate` writes for
+    an lr_asymptotic game on a product of `columns` specs.
+
+    Round t keys its own Philox generator by (master_seed, t) and flips the
+    membership coin. A subsampled mean keeps k = max(1, round(rho * n))
+    rows and, on heads, then draws whether the target is among them. The
+    round draws the column sums of the rows that are not the target: one
+    Binomial count per Bernoulli column, then one standard normal per
+    Gaussian column; a noisy mean then draws its d noise values. The ROC
+    counts, for each distinct score from the top, the rounds scoring at
+    least that much.
+    """
+    bern = [j for j, c in enumerate(columns) if c["law"] == "bernoulli"]
+    gauss = [j for j, c in enumerate(columns) if c["law"] == "gaussian"]
+    mu = np.array([c["p"] if c["law"] == "bernoulli" else c["mean"] for c in columns])
+    var = np.array([c["p"] * (1.0 - c["p"]) if c["law"] == "bernoulli" else c["var"]
+                    for c in columns])
+    sd = np.sqrt(var[gauss])
+    z = np.asarray(z, dtype=np.float64)
+    w = (z - mu) / var
+    kind = mechanism["mechanism"]
+    scores, bits = [], []
+    for t in range(rounds):
+        rng = np.random.Generator(np.random.Philox(key=np.array([master_seed, t], dtype=np.uint64)))
+        b = int(rng.integers(0, 2))
+        total, planted = n, b
+        if kind == "subsampled_mean":
+            total = max(1, int(round(mechanism["rho"] * n)))
+            planted = int(b == 1 and rng.random() < total / n)
+        rows = total - planted
+        sums = np.empty(len(columns))
+        sums[bern] = rng.binomial(rows, mu[bern])
+        sums[gauss] = rows * mu[gauss] + np.sqrt(rows) * sd * rng.standard_normal(len(gauss))
+        if planted:
+            sums += z
+        release = sums / total
+        if kind == "noisy_mean":
+            gamma = np.atleast_1d(np.asarray(mechanism["gamma_scalar"], dtype=np.float64))
+            release = release + rng.standard_normal(len(columns)) * (gamma / np.sqrt(n))
+        scores.append(float(np.dot(w, release - mu)) - float(np.dot(w, z - mu)) / (2.0 * n))
+        bits.append(b)
+    rounds_csv = "round,score,b\n" + "".join(
+        "%d,%.17g,%d\n" % (t, s, b) for t, (s, b) in enumerate(zip(scores, bits)))
+    s, y = np.array(scores), np.array(bits)
+    n1 = int(y.sum())
+    n0 = len(y) - n1
+    points = [(0.0, 0.0)]
+    for v in sorted(set(scores), reverse=True):
+        points.append((int(np.sum((s >= v) & (y == 0))) / n0, int(np.sum((s >= v) & (y == 1))) / n1))
+    roc_csv = "fpr,tpr\n" + "".join("%.17g,%.17g\n" % p for p in points)
+    return rounds_csv, roc_csv
+
+
+# ---------------------------------------------------------------------------
 # polyline densification (one linspace per segment) and the KD-tree gap
 
 def densify_loop(poly, step):

@@ -267,6 +267,82 @@ class TestCraftMatchesRowOracle:
             craft(MIXED, NoisyMean(np.ones(3)), 5, np.zeros(4), round_stream(1, 0))
 
 
+MIXED50 = ProductDistribution(
+    [Bernoulli(0.2 + 0.012 * j) if j % 2 else Gaussian(0.1 * j - 2.0, 0.5 + 0.03 * j)
+     for j in range(50)]
+)
+
+
+class TestChunkedRounds:
+    """Chunks group the arithmetic of a game, never its draws: every round
+    equals the one-round path on its own (seed, t) stream, bit for bit."""
+
+    @pytest.mark.parametrize("mech_name", sorted(MECHS))
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_run_crafter_equals_per_round_craft(self, mech_name, threads, offset, monkeypatch):
+        monkeypatch.setattr(game, "_CHUNK_FLOATS", 5 * MIXED.d)
+        z = np.array([1.0, 3.0, 0.0, -1.0])
+        T = 5 + offset
+        tr = run_crafter(MIXED, MECHS[mech_name], 9, z, T, 75, threads=threads)
+        for t in range(T):
+            o, b = craft(MIXED, MECHS[mech_name], 9, z, round_stream(75, t))
+            assert np.array_equal(o, tr.outputs[t]) and b == tr.bits[t]
+
+    @pytest.mark.parametrize("mech_name", sorted(MECHS))
+    def test_default_chunks_at_d50(self, mech_name):
+        mech = NoisyMean(0.6) if mech_name == "noisy" else MECHS[mech_name]
+        z = np.linspace(-1.0, 1.0, MIXED50.d)
+        chunk = game._chunk_len(10**6, MIXED50.d, 1, game._CHUNK_FLOATS)
+        assert chunk == game._CHUNK_FLOATS // MIXED50.d
+        tr = run_crafter(MIXED50, mech, 20, z, chunk + 1, 76)
+        for t in range(chunk + 1):
+            o, b = craft(MIXED50, mech, 20, z, round_stream(76, t))
+            assert np.array_equal(o, tr.outputs[t]) and b == tr.bits[t]
+
+    def test_chunk_rule(self):
+        # within the budget, at least one chunk per worker, one item at least
+        assert game._chunk_len(20, 5, 1, 30) == 5
+        assert game._chunk_len(20, 5, 8, 30) == 3
+        assert game._chunk_len(4, 5, 8, 30) == 1
+        assert game._chunk_len(3, 100, 1, 30) == 1
+        assert game._chunk_len(12, 5, 1, 30) == 6
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("failure", ["nan", "raise"])
+    def test_fixed_game_names_the_first_bad_round(self, threads, failure, monkeypatch):
+        monkeypatch.setattr(game, "_CHUNK_FLOATS", 4 * MIXED.d)
+        cfg = GameConfig(dist=MIXED, mech=MECHS["exact"], n=6, z=np.ones(4),
+                         score_name="lr_asymptotic", rounds=40, master_seed=77, threads=threads)
+        tr = run_crafter(MIXED, cfg.mech, 6, cfg.z, 40, 77)
+        # every score past a cut of the first coordinate is bad; the first
+        # such round lies past the first chunk
+        cut = np.sort(tr.outputs[:, 0])[-3]
+        first = int(np.argmax(tr.outputs[:, 0] >= cut))
+        assert first >= 4
+
+        def one(o, z):
+            if o[0] < cut:
+                return 0.0
+            if failure == "nan":
+                return float("nan")
+            raise ValueError("bad release")
+
+        def block(O, z):
+            if failure == "raise" and np.any(O[:, 0] >= cut):
+                raise ValueError("bad block")
+            return np.where(O[:, 0] < cut, 0.0, np.nan)
+
+        one.block = block
+        monkeypatch.setattr(game, "make_score", lambda name, **kw: one)
+        err, text = (NumericalError, "score is NaN") if failure == "nan" else (ValueError,
+                                                                            "bad release")
+        with pytest.raises(err, match=rf"^round {first}: {text}$"):
+            run_fixed_game(cfg)
+        with pytest.raises(err, match=rf"^round {first}: {text}$"):
+            score_transcript(tr, one, cfg.z)
+
+
 class TestRunCrafter:
     def test_coin_is_fair_and_conditional_means_shift(self):
         dist = ProductDistribution.bernoulli_uniform(2, a=0.25, seed=32)

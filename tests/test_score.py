@@ -11,6 +11,7 @@ import scipy.linalg
 import oracles
 from mi_audit import (
     ConfigError,
+    CrafterTranscript,
     EmpiricalMean,
     NoisyMean,
     NumericalError,
@@ -19,6 +20,7 @@ from mi_audit import (
     ReferenceEstimates,
     SCORE_NAMES,
     SubsampledMean,
+    estimate_reference,
     lr_asymptotic,
     lr_empirical_cov,
     lr_exact_bernoulli,
@@ -27,6 +29,7 @@ from mi_audit import (
     lr_subsampled,
     make_score,
     scalar_product,
+    score_transcript,
     subsample_count,
 )
 
@@ -406,3 +409,69 @@ class TestScoreFactory:
             make_score("lr_subsampled", dist=small_dist, n=5)
         with pytest.raises(ConfigError):
             make_score("lr_misspecified", dist=small_dist, n=5)
+
+
+def _bound_scores(dist, n, rng):
+    # every SCORE_NAMES entry bound on dist, lr_empirical_cov twice: on
+    # diagonal and on full reference estimates
+    ref_rows = dist.sample_dataset(60, rng)
+    kwargs = {"mech": SubsampledMean(0.5), "gamma": 0.7, "z_targ": np.full(dist.d, 0.4)}
+    scores = {}
+    for name in SCORE_NAMES:
+        if name == "lr_exact_bernoulli" and not dist.all_bernoulli:
+            continue
+        if name == "lr_empirical_cov":
+            for mode in ("diagonal", "full"):
+                refs = estimate_reference(ref_rows, cov_mode=mode, ridge=0.05)
+                scores[f"{name}/{mode}"] = make_score(name, dist=dist, n=n, refs=refs)
+            continue
+        scores[name] = make_score(name, dist=dist, n=n, **kwargs)
+    return scores
+
+
+class TestBlockForms:
+    """Each bound score's block form equals one call per row, bit for bit."""
+
+    @pytest.mark.parametrize("d", [5, 50, 700])
+    def test_every_block_form_equals_its_per_round_score(self, d):
+        rng = np.random.default_rng(27 + d)
+        n = 200  # no count of 0 or n but the planted one
+        bern = ProductDistribution.bernoulli(rng.uniform(0.2, 0.8, d))
+        z = rng.integers(0, 2, size=d).astype(np.float64)
+        counts = rng.binomial(n, bern.moments()[0], size=(40, d)).astype(np.float64)
+        counts[7, np.argmax(z)] = 0.0  # impossible with the target planted
+        O = counts / n
+        mixed = ProductDistribution.gaussian(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
+        zg = rng.normal(size=d)
+        Og = rng.normal(size=(40, d)) * 0.3
+        for dist, zz, block in ((bern, z, O), (mixed, zg, Og)):
+            for name, fn in _bound_scores(dist, n, rng).items():
+                want = [fn(o, zz) for o in block]
+                got = fn.block(block, zz)
+                assert got.shape == (40,), name
+                assert got.tolist() == want, name
+        sentinel = make_score("lr_exact_bernoulli", dist=bern, n=n).block(O, z)
+        assert sentinel[7] == -np.inf and np.isfinite(np.delete(sentinel, 7)).all()
+
+    def test_block_failures_name_the_first_bad_round(self, small_dist):
+        rng = np.random.default_rng(28)
+        d = small_dist.d
+        z = np.ones(d)
+        O = np.full((12, d), 0.5)
+        refs = estimate_reference(small_dist.sample_dataset(40, rng), cov_mode="full", ridge=0.1)
+        cases = [
+            ("lr_asymptotic", {}, 5, np.nan, NumericalError, "score is NaN"),
+            ("lr_empirical_cov", {"refs": refs}, 4, np.inf, ValueError,
+             "array must not contain infs or NaNs"),
+            ("lr_exact_bernoulli", {}, 2, 1.5, ValueError,
+             r"mu_hat must lie in \[0, 1\] component-wise"),
+            ("scalar_product", {}, 9, np.nan, NumericalError, "score is NaN"),
+        ]
+        for name, kw, t, bad, err, text in cases:
+            outputs = O.copy()
+            outputs[t, 3] = bad
+            outputs[t + 1, 0] = bad
+            tr = CrafterTranscript(outputs=outputs, bits=np.zeros(12, dtype=np.uint8))
+            fn = make_score(name, dist=small_dist, n=10, **kw)
+            with pytest.raises(err, match=rf"^round {t}: {text}$"):
+                score_transcript(tr, fn, z)

@@ -1,5 +1,7 @@
 """Closed-form leakage, trade-off, and curve-distance checks."""
 
+import copy
+import pickle
 import subprocess
 import sys
 
@@ -13,6 +15,7 @@ from mi_audit import (
     EmpiricalMean,
     NoisyMean,
     ProductDistribution,
+    ScoredRound,
     SubsampledMean,
     TradeoffCurve,
     cross_leakage,
@@ -288,6 +291,25 @@ class TestCurveDistances:
         # the pinned corners pull the ends back onto the curve
         g = sup_norm_gap(pts, 4.0)
         assert 0.04 <= g <= 0.08
+
+    def test_curve_keeps_its_dense_polyline_without_changing(self):
+        # the gap against a curve reads its densified closed form from the
+        # curve after the first call, with the bits of densifying afresh
+        rng = np.random.default_rng(29)
+        scores = np.concatenate([rng.normal(size=300), rng.normal(size=300) + 1.1])
+        bits = np.repeat([0, 1], 300)
+        pts = roc([ScoredRound(float(a), int(b)) for a, b in zip(scores, bits)]).points
+        for q in (1.0, 0.6):
+            curve = TradeoffCurve.from_leakage(1.3, 256, q=q)
+            before = pickle.dumps(curve)
+            for step in (5e-4, 2e-3, 5e-4):
+                want = polyline_gap(pts, _theory_polyline(1.3, q), step)
+                assert sup_norm_gap(pts, curve, step) == want
+                if q == 1.0:
+                    assert sup_norm_gap(pts, 1.3, step) == want
+            assert pickle.dumps(curve) == before
+            assert copy.copy(curve) == curve
+            assert "_dense" not in vars(copy.deepcopy(curve))
 
     def test_polyline_gap_symmetric_and_zero_on_identical(self):
         a = np.array([[0, 0], [0.5, 0.7], [1, 1]], dtype=float)

@@ -357,6 +357,27 @@ class TestWhiteboxAttack:
         assert total == want
         assert total == pytest.approx(explicit, rel=1e-9)
 
+    def test_covariance_trace_checks_finiteness_once(
+        self, linear_model, small_regression, monkeypatch
+    ):
+        X, y = small_regression
+        trace = train_sgd(linear_model, (X, y), eta=0.1, batch_size=6, epochs=2, seed=17)
+        refs = estimate_reference(reference_gradients(linear_model, X, y), cov_mode="full")
+        target = (np.full(4, 2.0), 5.0)
+        checks = []
+        real = score.ReferenceEstimates._check_finite
+
+        def counting(self, *arrays):
+            checks.append(len(arrays))
+            return real(self, *arrays)
+
+        monkeypatch.setattr(score.ReferenceEstimates, "_check_finite", counting)
+        run_whitebox_attack(trace, target, refs, "covariance")
+        assert checks == [2]  # the centered target and batch gradients, once each
+        bad = (np.array([2.0, np.inf, 2.0, 2.0]), 5.0)
+        with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
+            run_whitebox_attack(trace, bad, refs, "covariance")
+
     def test_frozen_trace_scores_zero_under_scalar_attack(self, linear_model, small_regression):
         X, y = small_regression
         trace = train_sgd(linear_model, (X, y), eta=0.0, batch_size=6, epochs=1, seed=15)
@@ -506,6 +527,31 @@ class TestWhiteboxGame:
                 eta=0.05, batch_size=6, refs=refs, attack="scalar",
                 reps=4, master_seed=83,
             )
+
+
+    def test_target_label_must_keep_its_value_in_the_base_dtype(self, small_regression):
+        # a linear model on integer labels would train on 4 and score at 4.5
+        X, y = small_regression
+        y_int = np.rint(y).astype(np.int64)
+        model = ToyModel("linear", f=4)
+        refs = estimate_reference(reference_gradients(model, X, y_int), ridge=0.0)
+        x_t = np.full(4, 3.0)
+        kw = dict(eta=0.05, batch_size=6, refs=refs, reps=6, master_seed=87)
+        for attack in ("covariance", "scalar"):
+            with pytest.raises(ValueError, match="target label 4.5"):
+                run_whitebox_game(model, X, y_int, (x_t, 4.5), attack=attack, **kw)
+            want = run_whitebox_game(model, X, y_int, (x_t, 4), attack=attack, **kw)
+            assert run_whitebox_game(model, X, y_int, (x_t, 4.0), attack=attack, **kw) == want
+
+    def test_logistic_target_label_given_as_a_float(self):
+        X, y = make_blobs(97, 3, 2, seed=88)
+        model = ToyModel("logistic", f=3, c=2)
+        refs = estimate_reference(reference_gradients(model, X, y), cov_mode="full", ridge=1e-3)
+        kw = dict(eta=0.1, batch_size=8, refs=refs, reps=6, master_seed=89)
+        for attack in ("covariance", "scalar"):
+            want = run_whitebox_game(model, X[1:], y[1:], (X[0], int(y[0])), attack=attack, **kw)
+            got = run_whitebox_game(model, X[1:], y[1:], (X[0], float(y[0])), attack=attack, **kw)
+            assert got == want
 
 
 class TestMakeBlobs:
