@@ -214,24 +214,29 @@ _PHILOX_ZEROS = (0, 0, 0, 0)
 
 
 def _round_streams(master_seed: int):
-    """A callable t -> generator that draws exactly what
+    """A callable (t, slot=0) -> generator that draws exactly what
     round_stream(master_seed, t) draws.
 
-    Each thread keeps one Philox generator and rekeys it for every round:
-    key (master_seed, t), counter 0, an empty buffer and no 32-bit half
-    left over, the state a freshly keyed Philox starts from. That costs a
-    fraction of a new generator, whose constructor also seeds itself from
+    Each thread keeps one Philox generator per slot and rekeys it for every
+    round: key (master_seed, t), counter 0, an empty buffer and no 32-bit
+    half left over, the state a freshly keyed Philox starts from. That costs
+    a fraction of a new generator, whose constructor also seeds itself from
     os.urandom before the key replaces the seed; the state is given as
     plain integers, which the setter reads faster than arrays. A generator
-    is valid until the same thread asks for its next round.
+    is valid until the same thread asks for its slot's next round. A caller
+    that holds several rounds' generators at once, as a chunk of white-box
+    reps does, gives each its own slot, numbered from 0 in the order first
+    asked for; a game that draws one round at a time uses slot 0.
     """
     local = threading.local()
 
-    def stream(t: int) -> np.random.Generator:
-        gen = getattr(local, "gen", None)
-        if gen is None:
-            gen = local.gen = round_stream(master_seed, t)
-            return gen
+    def stream(t: int, slot: int = 0) -> np.random.Generator:
+        try:
+            gen = local.gens[slot]
+        except (AttributeError, IndexError):
+            gens = local.__dict__.setdefault("gens", [])
+            gens.append(round_stream(master_seed, t))
+            return gens[slot]
         gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": _PHILOX_ZEROS, "key": (master_seed, t)},

@@ -270,7 +270,7 @@ def subsampled_power(m_in: float, q: float, alpha):
     return float(out) if np.ndim(alpha) == 0 else out
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class TradeoffCurve:
     """The asymptotic trade-off curve alpha -> power, tabulated on a fixed
     alpha grid.
@@ -365,6 +365,20 @@ class TradeoffCurve:
         state = dict(self.__dict__)
         state.pop("_dense", None)
         return state
+
+    def __eq__(self, other):
+        """Equal fields, the arrays compared by value; the kept dense
+        polylines are not compared."""
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m_eff == other.m_eff and self.q == other.q
+                and np.array_equal(self.alphas, other.alphas)
+                and np.array_equal(self.powers, other.powers))
+
+    def __hash__(self):
+        # equal curves have equal m_eff and q; hashing the arrays' bytes
+        # would split curves whose entries differ only as 0.0 and -0.0
+        return hash((self.m_eff, self.q))
 
 
 def tradeoff_curve(dist, z, n: int, mech=None, num: int = 512) -> TradeoffCurve:

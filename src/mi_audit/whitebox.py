@@ -20,7 +20,7 @@ import dataclasses
 import numpy as np
 
 from ._util import ConfigError, as_vector
-from .game import _CHUNK_FLOATS, ScoredRound, _chunk_len, _map_chunks, round_stream
+from .game import _CHUNK_FLOATS, ScoredRound, _chunk_len, _map_chunks, _round_streams
 from .score import ReferenceEstimates, _lr_centered
 
 __all__ = [
@@ -113,23 +113,48 @@ class ToyModel:
         """
         theta = self.theta if theta is None else as_vector(theta, self.d_p, "theta")
         X = self._check_features(X)
-        return self._grads(X, self._check_labels(np.atleast_1d(y)), theta)
+        labels = self._check_labels(np.atleast_1d(y))
+        return self._grads(X[None], labels[None], theta[None])[:, 0]
 
     def _grads(self, X: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
-        """grad_batch without its checks, over leading batch axes: X is a
-        (..., m, f) float array, labels (..., m) have passed _check_labels,
-        theta is (..., d_p), and the result is (..., m, d_p).
+        """grad_batch without its checks, for R runs at once, batch-first:
+        X is (R, m, f) float rows, or (1, m, f) rows that every run shares,
+        labels (R or 1, m) have passed _check_labels, theta is (R, d_p), and
+        the result is (m, R, d_p), run r's gradient of example i at [i, r].
 
         Each run's logits come from its own (m, f) @ (f, c) product inside
         one stacked matmul, so a stack of runs gets, bit for bit, the
-        gradients each run gets alone.
+        gradients each run gets alone. After the matmul no numpy call runs
+        over an axis of c entries. The logits are copied class-major,
+        (c, R, m), so each reduce of _logsumexp_rows folds c planes of
+        R * m entries. Each class's error signal then scales the rows into
+        that class's f weight columns of the result, one multiply per
+        class, and the biases take the signals as they are. Every entry is
+        the product of the same two factors as in a row-major layout, so
+        the bits are the same. Batch-first, the batch mean of _sgd is one
+        reduce over the outer axis, which adds the m rows in order, as a
+        mean over the middle axis of an (R, m, d_p) array does.
         """
         W, bias = self._split(theta)
         if self.arch == "linear":
-            delta = ((X @ W[..., None])[..., 0] + bias[..., None] - labels)[..., None]
+            deltas = ((X @ W[..., None])[..., 0] + bias[..., None] - labels)[None]
         else:
-            delta = _softmax_minus_onehot(X @ W.swapaxes(-1, -2) + bias[..., None, :], labels)
-        return _outer_grads(delta, X)
+            # class-major logits, (c, R, m); the ufuncs below keep that
+            # layout while they see the class axis last
+            logits = np.add((X @ W.swapaxes(-1, -2)).transpose(2, 0, 1), bias.T[..., None],
+                            order="C").transpose(1, 2, 0)
+            deltas = np.exp(logits - _logsumexp_rows(logits))
+            # subtracting 0.0 leaves every other entry as it is
+            deltas -= (np.arange(self.c)[:, None, None] == labels).transpose(1, 2, 0)
+            deltas = deltas.transpose(2, 0, 1)
+        c, R, m = deltas.shape
+        f = self.f
+        rows = X.transpose(1, 0, 2)
+        grads = np.empty((m, R, self.d_p))
+        for k in range(c):
+            np.multiply(deltas[k].T[..., None], rows, out=grads[..., k * f : (k + 1) * f])
+        grads[..., c * f :] = deltas.transpose(2, 1, 0)
+        return grads
 
     def grad(self, x, y, theta=None) -> np.ndarray:
         """Analytic loss gradient for a single (features, label) example."""
@@ -146,7 +171,7 @@ class ToyModel:
         labels = self._check_labels(np.atleast_1d(y))
         if thetas.ndim != 2 or thetas.shape[1] != self.d_p:
             raise ValueError(f"thetas must be (S, {self.d_p}), got shape {thetas.shape}")
-        return self._grads(x[None, :], labels, thetas)[:, 0]
+        return self._grads(x[None, None], labels[None], thetas)[0]
 
 
 def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
@@ -155,32 +180,24 @@ def _logsumexp_rows(logits: np.ndarray) -> np.ndarray:
 
     Repeats the operation order of scipy.special.logsumexp on real input
     (scipy 1.17), so the two agree bit for bit: the row maxima are taken
-    out of the sum and their count enters as log(count).
+    out of the sum and their count enters as log(count). The class axis
+    may have any stride. ToyModel._grads passes a class-major buffer seen
+    as (R, m, c), where each reduce below runs over c planes of R * m
+    entries instead of over R * m rows of c. That layout keeps the bits:
+    maxima and counts are exact in any order, and numpy adds fewer than 8
+    terms left to right whichever axis it reduces, as scipy's contiguous
+    sum does. From 8 terms on, a contiguous sum is pairwise, so the
+    exponentials are then summed from a C-contiguous copy.
     """
     a_max = logits.max(axis=-1, keepdims=True)
     top = logits == a_max
     m = top.sum(axis=-1, keepdims=True, dtype=np.float64)
-    s = np.where(top, 0.0, np.exp(logits - a_max)).sum(axis=-1, keepdims=True)
+    e = np.where(top, 0.0, np.exp(logits - a_max))
+    if logits.shape[-1] >= 8:
+        e = np.ascontiguousarray(e)
+    s = e.sum(axis=-1, keepdims=True)
     s = np.where(s == 0, s, s / m)
     return np.log1p(s) + np.log(m) + a_max
-
-
-def _softmax_minus_onehot(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Logistic error signal, softmax(logits) minus the one-hot labels,
-    for (..., m, c) logits and (..., m) labels."""
-    delta = np.exp(logits - _logsumexp_rows(logits))
-    # subtracting 0.0 leaves every other entry as it is
-    return delta - (labels[..., None] == np.arange(logits.shape[-1]))
-
-
-def _outer_grads(delta: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per-example gradients from error signals: g_i = delta_i (outer)
-    [x_i, 1], for a residual (..., m, 1) or a softmax signal (..., m, c)
-    and rows X (..., m, f). X may be a single row shared by every signal.
-    Both factors are laid out flat, as (..., m, c * f), so that one
-    multiply runs over whole rows rather than over c * m rows of f."""
-    weight_part = np.repeat(delta, X.shape[-1], axis=-1) * np.tile(X, delta.shape[-1])
-    return np.concatenate([weight_part, delta], axis=-1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -297,7 +314,7 @@ def _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise, swap=None
         schedule[:, e * per_epoch : (e + 1) * per_epoch] = perms.reshape(runs, per_epoch, -1)
         for k in range(e * per_epoch, (e + 1) * per_epoch):
             batch = schedule[:, k]
-            X_b, y_b = X[batch], labels[batch]
+            X_b, y_b = np.take(X, batch, axis=0), np.take(labels, batch)
             if swap is not None:
                 hit = batch == swap[:, None]
                 X_b[hit] = target[0]
@@ -305,9 +322,9 @@ def _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise, swap=None
             grads = model._grads(X_b, y_b, theta)
             if clip is not None and np.isfinite(clip):
                 norms = np.linalg.norm(grads, axis=-1)
-                factors = np.minimum(1.0, clip / np.maximum(norms, 1e-300))
-                grads = grads * factors[..., None]
-            g = grads.mean(axis=-2)
+                grads *= np.minimum(1.0, clip / np.maximum(norms, 1e-300))[..., None]
+            # the rows in order, as mean(axis=-2) adds them in (R, m, d_p)
+            g = np.add.reduce(grads, axis=0) / batch_size
             if noise:
                 g = g + np.array([rng.standard_normal(model.d_p) for rng in rngs]) * (noise * clip)
             theta = theta - eta * g
@@ -441,10 +458,13 @@ def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, mast
     pre-step iterate of the trace, as run_whitebox_attack takes it.
 
     Rep r draws its coin, and on heads the row the target replaces, from
-    round_stream(master_seed, r), then trains on that stream. The reps are
-    split into chunks by the games' one rule (game._chunk_len), at least
-    one per worker and each within _CHUNK_FLOATS of per-example gradients,
-    the largest per-step temporary of _sgd; one _sgd call trains a chunk,
+    round_stream(master_seed, r), then trains on that stream: the i-th rep
+    of a chunk takes slot i of game._round_streams, rekeyed to
+    (master_seed, r), which draws the same as a new stream at a fraction of
+    its cost. The reps are split into chunks by the games' one rule
+    (game._chunk_len), at least one per worker and each within
+    _CHUNK_FLOATS of per-example gradients, the largest per-step buffer of
+    _sgd; one _sgd call trains a chunk,
     one _grad_path call takes the target's gradients along all of its
     traces, and _map_chunks maps the chunks. Scores do not depend on the
     split.
@@ -474,9 +494,10 @@ def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, mast
     n = X.shape[0]
     per_chunk = _chunk_len(reps, batch_size * model.d_p, threads, _CHUNK_FLOATS)
     start = ToyModel(model.arch, model.f, model.c, model.theta.copy())
+    stream = _round_streams(master_seed)
 
     def chunk(lo: int, hi: int) -> list:
-        rngs = [round_stream(master_seed, r) for r in range(lo, hi)]
+        rngs = [stream(r, slot) for slot, r in enumerate(range(lo, hi))]
         bits = [int(rng.integers(0, 2)) for rng in rngs]
         swap = np.array([int(rng.integers(0, n)) if b else -1 for rng, b in zip(rngs, bits)])
         thetas, schedule = _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise,

@@ -86,6 +86,31 @@ class TestRoundStream:
         assert any(half == 1 for half, _ in left)
         assert any(pos < 4 for _, pos in left)
 
+    def test_rekeyed_slots_draw_what_new_streams_draw(self):
+        # a chunk of white-box reps holds one generator per slot at once and
+        # interleaves their draws; each earlier chunk leaves its slots in
+        # other states, and a last, shorter chunk uses only the first slots
+        stream = game._round_streams(5)
+        left = []
+        for lo, hi in ((0, 3), (3, 6), (6, 8)):
+            gens = [stream(r, slot) for slot, r in enumerate(range(lo, hi))]
+            wants = [round_stream(5, r) for r in range(lo, hi)]
+            assert len({id(g) for g in gens}) == hi - lo
+            for got, want in zip(gens, wants):
+                assert got.integers(0, 2) == want.integers(0, 2)
+                assert got.integers(0, 40) == want.integers(0, 40)
+            for got, want in zip(gens, wants):
+                assert np.array_equal(got.permutation(40), want.permutation(40))
+            for got, want in zip(gens, wants):
+                assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
+            for slot, got in enumerate(gens):
+                got.integers(0, 2**32, size=slot + 1, dtype=np.uint32)
+                got.random(slot)
+                state = got.bit_generator.state
+                left.append((state["has_uint32"], state["buffer_pos"]))
+        assert any(half == 1 for half, _ in left)
+        assert any(pos < 4 for _, pos in left)
+
 
 class TestCraft:
     def test_single_row_member_release_equals_target(self, tiny_dist):

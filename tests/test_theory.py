@@ -1,6 +1,7 @@
 """Closed-form leakage, trade-off, and curve-distance checks."""
 
 import copy
+import dataclasses
 import pickle
 import subprocess
 import sys
@@ -310,6 +311,22 @@ class TestCurveDistances:
             assert pickle.dumps(curve) == before
             assert copy.copy(curve) == curve
             assert "_dense" not in vars(copy.deepcopy(curve))
+
+    def test_curves_compare_by_value_whatever_their_cache(self):
+        for q in (1.0, 0.6):
+            curve = TradeoffCurve.from_leakage(1.3, 64, q=q)
+            copies = [pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)]
+            for other in copies:
+                assert curve == other and hash(curve) == hash(other)
+            curve._dense_polyline(2e-3)  # fills the cache of one side only
+            for other in copies:
+                assert curve == other and other == curve
+                assert hash(curve) == hash(other)
+            assert curve != TradeoffCurve.from_leakage(1.4, 64, q=q)
+            assert curve != dataclasses.replace(curve, m_eff=1.4)
+            assert curve != dataclasses.replace(curve, q=q / 2)
+            assert curve != TradeoffCurve.from_leakage(1.3, 65, q=q)
+            assert curve != (curve.m_eff, curve.alphas, curve.powers, curve.q)
 
     def test_polyline_gap_symmetric_and_zero_on_identical(self):
         a = np.array([[0, 0], [0.5, 0.7], [1, 1]], dtype=float)

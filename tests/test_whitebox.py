@@ -396,6 +396,10 @@ EXACT_CASES = {
     "logistic-c3-eta0": ("logistic", 3, {"eta": 0.0}, None),
     "linear-two-epochs": ("linear", 1, {"epochs": 2}, None),
     "logistic-c3-two-epochs": ("logistic", 3, {"epochs": 2}, None),
+    # from 8 classes on, the exponentials of the log-sum-exp are summed
+    # pairwise from a contiguous copy; below 8 they are folded class by class
+    "logistic-c7-two-epochs": ("logistic", 7, {"epochs": 2}, None),
+    "logistic-c9-clip": ("logistic", 9, {"clip": 1.0}, None),
 }
 
 
