@@ -26,7 +26,7 @@ from . import __version__
 from ._util import ConfigError, NumericalError
 from .canary import estimate_reference, mahalanobis_score_est
 from .dist import ProductDistribution, target_from_spec
-from .game import GameConfig, ScoredRound, _advantage, _play_fixed_game, _roc, roc
+from .game import GameConfig, _advantage, _play_fixed_game, _roc
 from .mech import mechanism_from_spec
 from .theory import (
     _check_monotone,
@@ -40,7 +40,6 @@ from .whitebox import (
     ToyModel,
     _check_slice,
     _play_reps,
-    _score_trace,
     make_blobs,
     reference_gradients,
 )
@@ -381,25 +380,18 @@ def cmd_whitebox(args) -> int:
     # and cover the attacked parameters only
     refs = fit_refs(grads[keep][:, sl])
     attacks = ("covariance", "scalar")
-
-    def read(trace, b, g_stars):  # both attacks score one training run
-        return [ScoredRound(_score_trace(trace, g_stars, refs, a, sl), b) for a in attacks]
-
-    per_rep = _play_reps(model, X_base, y_base, target, read, eta=eta, batch_size=batch_size,
-                         reps=reps, master_seed=master_seed, epochs=int(cfg.get("epochs", 1)),
-                         clip=cfg.get("clip"), noise=cfg.get("noise"),
-                         threads=_threads(args, cfg))
+    # both attacks score each rep's one training run
+    scores, bits = _play_reps(model, X_base, y_base, target, refs, attacks, sl, eta=eta,
+                              batch_size=batch_size, reps=reps, master_seed=master_seed,
+                              epochs=int(cfg.get("epochs", 1)), clip=cfg.get("clip"),
+                              noise=cfg.get("noise"), threads=_threads(args, cfg))
     out = _out_dir(args)
     results = {}
-    for attack, game in zip(attacks, zip(*per_rep)):
-        curve = roc(game)
+    for attack, column in zip(attacks, scores.T):
+        curve = _roc(column, bits)
         results[attack] = {"auc": curve.auc, "advantage_best_threshold": curve.best_advantage()}
-        _write_csv(
-            os.path.join(out, f"scores_{attack}.csv"),
-            "rep,score,b",
-            "%d,%.17g,%d",
-            ((t, r.score, r.b) for t, r in enumerate(game)),
-        )
+        _write_csv(os.path.join(out, f"scores_{attack}.csv"), "rep,score,b", "%d,%.17g,%d",
+                   zip(range(reps), column.tolist(), bits.tolist()))
 
     doc = _meta(_run_hash(cfg), master_seed)
     doc.update(

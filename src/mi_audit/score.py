@@ -11,6 +11,11 @@ and a diagonal or full covariance, with an optional ridge and a cached
 Cholesky factor for a full matrix. Moments estimated from reference points
 and :class:`OracleMoments`, the true moments and its ridge-free diagonal
 case, feed the same precision-weighted forms and the same LR score.
+
+Every Mahalanobis form has one kernel, ``ReferenceEstimates._pairs``, the
+terms (u^T P v, u^T P u) of paired rows or of one u against a block:
+``precision_pair``, ``precision_quad``, the LR score of one release or of a
+block, and each step of the white-box covariance attack, bit for bit alike.
 """
 
 from __future__ import annotations
@@ -39,12 +44,6 @@ __all__ = [
 ]
 
 
-def _diag_bilinear(u: np.ndarray, var: np.ndarray, v: np.ndarray) -> float:
-    # u^T diag(var)^-1 v, the package's one diagonal precision form: every
-    # caller that hands it identical moments gets bit-identical values.
-    return float(np.dot(u / var, v))
-
-
 class ReferenceEstimates:
     """A mean and covariance, ready for precision-weighted scoring: moments
     estimated from reference points, or the true ones (:class:`OracleMoments`).
@@ -63,7 +62,7 @@ class ReferenceEstimates:
     def __init__(self, mu0, c0, n0: int, ridge: float = 0.0):
         self.mu0 = as_vector(mu0, name="mu0").copy()
         self.mu0.flags.writeable = False
-        d = self.mu0.shape[0]
+        self.d = d = int(self.mu0.shape[0])
         if n0 < 1:
             raise ValueError("n0 must be >= 1")
         if ridge < 0:
@@ -104,15 +103,12 @@ class ReferenceEstimates:
             # factor, and a C-ordered lower factor is the transpose of a
             # Fortran-ordered upper one
             self._lower = bool(self._chol.flags.f_contiguous)
+            self._trans = int(not self._lower)
             self._tri = self._chol if self._lower else self._chol.T
         else:
             raise ValueError(f"c0 must be a vector or a square matrix, got ndim {c.ndim}")
         c.flags.writeable = False
         self.c0 = c
-
-    @property
-    def d(self) -> int:
-        return int(self.mu0.shape[0])
 
     @property
     def is_diagonal(self) -> bool:
@@ -127,8 +123,12 @@ class ReferenceEstimates:
 
     def _whiten(self, u: np.ndarray) -> np.ndarray:
         # solve_triangular(self._chol, u, lower=True) bit for bit, without
-        # its per-call dispatch; the caller has made _check_finite
-        w, info = _TRTRS(self._tri, u, lower=self._lower, trans=int(not self._lower))
+        # its per-call dispatch or f2py's keyword parsing; the caller has
+        # made _check_finite. A (T, d) block is solved row by row, since a
+        # solve of many right-hand sides would sum in another order.
+        if u.ndim == 2:
+            return np.array([self._whiten(row) for row in u]).reshape(u.shape)
+        w, info = _TRTRS(self._tri, u, self._lower, self._trans)
         if info != 0:
             raise scipy.linalg.LinAlgError(f"triangular solve failed: trtrs info {info}")
         return w
@@ -136,39 +136,37 @@ class ReferenceEstimates:
     def precision_quad(self, u) -> float:
         """u^T (c0 + ridge I)^-1 u."""
         u = as_vector(u, self.d, "u")
-        if self._chol is None:
-            return _diag_bilinear(u, self._var, u)
         self._check_finite(u)
-        w = self._whiten(u)
-        return float(np.dot(w, w))
+        return float(self._pairs(u, u)[1])
 
     def precision_pair(self, u, v) -> tuple[float, float]:
-        """(u^T P v, u^T P u) with P = (c0 + ridge I)^-1.
-
-        On the full-matrix path u and v are whitened once each: two
-        triangular solves for both quantities.
-        """
+        """(u^T P v, u^T P u) with P = (c0 + ridge I)^-1, from one
+        triangular solve for each of u and v on the full-matrix path."""
         u, v = as_vector(u, self.d, "u"), as_vector(v, self.d, "v")
         self._check_finite(u, v)
-        return self._pair(u, v)
+        cross, quad = self._pairs(u, v)
+        return float(cross), float(quad)
 
-    def _pair(self, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-        # precision_pair on inputs the caller has already checked
-        if self._chol is None:
-            return _diag_bilinear(u, self._var, v), _diag_bilinear(u, self._var, u)
-        w = self._whiten(u)
-        return float(np.dot(w, self._whiten(v))), float(np.dot(w, w))
+    def _pairs(self, U: np.ndarray, V: np.ndarray):
+        """(u^T P v, u^T P u) for each pair of rows of checked (T, d) blocks
+        U and V, for one vector u, (d,), and every row of V, or for two
+        vectors; V is U asks for the quadratic terms alone.
 
-    def _pair_rows(self, u: np.ndarray, V: np.ndarray) -> tuple[np.ndarray, float]:
-        # _pair(u, v) for every row v of a (T, d) block: the T cross terms,
-        # each the same np.dot of two vectors as _pair's, and the one
-        # quadratic term. A mat-vec would sum in another order.
+        Each entry of a block is one np.vecdot of two vectors, which takes
+        the routine np.dot takes for them, so a row gets the same bits in a
+        block as alone (a mat-vec would sum in another order); two vectors
+        take np.dot itself, without the gufunc's dispatch. Each distinct
+        vector is whitened once.
+        """
+        dot = np.dot if V.ndim == 1 else np.vecdot
         if self._chol is None:
-            w = u / self._var
-            return np.fromiter(map(w.dot, V), np.float64, len(V)), float(np.dot(w, u))
-        w = self._whiten(u)
-        cross = np.fromiter((np.dot(w, self._whiten(v)) for v in V), np.float64, len(V))
-        return cross, float(np.dot(w, w))
+            W, right = U / self._var, U
+        else:
+            W = right = self._whiten(U)
+        quad = dot(W, right)
+        if V is U:
+            return quad, quad
+        return dot(W, V if self._chol is None else self._whiten(V)), quad
 
 
 class OracleMoments(ReferenceEstimates):
@@ -255,24 +253,15 @@ def lr_empirical_cov(mu_hat, z, refs: ReferenceEstimates, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    return float(_lr(as_vector(mu_hat, refs.d, "mu_hat"), z, refs, n))
+
+
+def _lr(mu_hat: np.ndarray, z, refs: ReferenceEstimates, n: int):
+    # lr_empirical_cov of a release (d,) or of each row of a block (T, d)
     u = as_vector(z, refs.d, "z") - refs.mu0
-    v = as_vector(mu_hat, refs.d, "mu_hat") - refs.mu0
+    v = mu_hat - refs.mu0
     refs._check_finite(u, v)
-    return _lr_centered(u, v, refs, n)
-
-
-def _lr_centered(u: np.ndarray, v: np.ndarray, refs: ReferenceEstimates, n: int) -> float:
-    # lr_empirical_cov on checked, centered inputs u = z - mu0, v = mu_hat - mu0
-    cross, quad = refs._pair(u, v)
-    return cross - quad / (2.0 * n)
-
-
-def _lr_rows(mu_hats, z, refs: ReferenceEstimates, n: int) -> np.ndarray:
-    # lr_empirical_cov of each row of a (T, d) block of releases
-    u = as_vector(z, refs.d, "z") - refs.mu0
-    V = _as_rows(mu_hats, refs.d, "mu_hat") - refs.mu0
-    refs._check_finite(u, V)
-    cross, quad = refs._pair_rows(u, V)
+    cross, quad = refs._pairs(u, v)
     return cross - quad / (2.0 * n)
 
 
@@ -423,9 +412,9 @@ def make_score(
         ref = mu if z_ref is None else as_vector(z_ref, dist.d, "z_ref")
 
         def scalar_rows(O, z):
+            # np.vecdot takes np.dot's routine for each row, as scalar_product does
             w = as_vector(z, name="z") - as_vector(ref, dist.d, "z_ref")
-            V = _as_rows(O, w.shape[0], "mu_hat")
-            return np.fromiter(map(w.dot, V), np.float64, len(V))
+            return np.vecdot(w, _as_rows(O, w.shape[0], "mu_hat"))
 
         return _bound(lambda o, z: scalar_product(o, z, ref), scalar_rows)
     if name == "lr_noisy":
@@ -463,4 +452,4 @@ def _bound_lr(refs: ReferenceEstimates, n: int, guess=None):
         return z if guess is None else guess
 
     return _bound(lambda o, z: lr_empirical_cov(o, target(z), refs, n),
-                  lambda O, z: _lr_rows(O, target(z), refs, n))
+                  lambda O, z: _lr(_as_rows(O, refs.d, "mu_hat"), target(z), refs, n))

@@ -20,8 +20,9 @@ import dataclasses
 import numpy as np
 
 from ._util import ConfigError, as_vector
-from .game import _CHUNK_FLOATS, ScoredRound, _chunk_len, _map_chunks, _round_streams
-from .score import ReferenceEstimates, _lr_centered
+from .game import (_CHUNK_FLOATS, ScoredRound, _chunk_len, _map_chunks, _round_streams,
+                   _scored_rounds)
+from .score import ReferenceEstimates
 
 __all__ = [
     "ToyModel",
@@ -278,15 +279,15 @@ def _check_sgd(model: ToyModel, data, eta, batch_size, epochs, clip, noise):
         raise ValueError(f"batch_size must lie in [1, {n}], got {batch_size}")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    if clip is not None and clip <= 0:
-        raise ValueError("clip must be > 0")
-    if noise:
-        if noise < 0:
-            raise ValueError("noise must be >= 0")
-        if clip is None:
-            raise ValueError("noise requires a clipping threshold to calibrate against")
+    # each bound is written so that NaN fails it
+    if not 0 <= eta < np.inf:
+        raise ValueError(f"eta must be finite and >= 0, got {eta}")
+    if clip is not None and not clip > 0:
+        raise ValueError(f"clip must be > 0, got {clip}")
+    if noise is not None and not 0 <= noise < np.inf:
+        raise ValueError(f"noise must be finite and >= 0, got {noise}")
+    if noise and (clip is None or clip == np.inf):
+        raise ValueError(f"noise requires a finite clip to calibrate against, got clip {clip}")
     return X, labels
 
 
@@ -362,20 +363,19 @@ def run_whitebox_attack(
 
     At each step the applied batch gradient is reconstructed from the
     iterate difference (zero by convention when eta is 0, where the quotient
-    is 0/0), and the target's own gradient is taken at the pre-step iterate:
-    one call computes it along the whole path of pre-step iterates, and the
-    loop over steps only scores.
+    is 0/0), and the target's own gradient is taken at the pre-step iterate.
     The covariance attack scores each step as a released mean of batch_size
-    gradients, lr_empirical_cov(g_batch, g_target, refs, batch_size), with
-    both gradients centered in one block and whitened step by step, and
-    the scalar attack scores the plain inner product
-    g_target . g_batch. ``param_slice`` restricts both gradients to a
-    contiguous parameter range (the last-layer trick); refs must match the
-    sliced dimension.
+    gradients, lr_empirical_cov(g_batch, g_target, refs, batch_size), and
+    the scalar attack scores the plain inner product g_target . g_batch.
+    ``param_slice`` restricts both gradients to a contiguous parameter range
+    (the last-layer trick); refs must match the sliced dimension. The trace
+    is scored as the games score a stack of traces.
     """
     sl = _check_attack(trace.model.d_p, refs, attack, param_slice)
     x, y = target_example
-    return _score_trace(trace, trace.model._grad_path(x, y, trace.thetas[:-1]), refs, attack, sl)
+    g_stars = trace.model._grad_path(x, y, trace.thetas[:-1])
+    return float(_score_traces(trace.thetas[None], g_stars, trace.eta, trace.batch_size, refs,
+                               (attack,), sl)[0, 0])
 
 
 def _check_attack(d_p: int, refs: ReferenceEstimates, attack: str, param_slice) -> slice:
@@ -391,26 +391,41 @@ def _check_attack(d_p: int, refs: ReferenceEstimates, attack: str, param_slice) 
     return sl
 
 
-def _score_trace(trace: TrainTrace, g_stars: np.ndarray, refs, attack: str, sl: slice) -> float:
-    """run_whitebox_attack after its checks, given the target's gradient at
-    every pre-step iterate, (steps, d_p)."""
-    if trace.eta == 0.0:
-        g_batches = np.zeros((trace.steps, trace.model.d_p))
-    else:
-        g_batches = (trace.thetas[:-1] - trace.thetas[1:]) / trace.eta
+def _score_traces(thetas: np.ndarray, g_stars: np.ndarray, eta: float, batch_size: int,
+                  refs: ReferenceEstimates, attacks, sl: slice) -> np.ndarray:
+    """Each attack's score of R traces, (R, len(attacks)): run_whitebox_attack
+    after its checks, given every trace's iterates, (R, steps + 1, d_p), and
+    the target's gradient at each pre-step iterate, (R * steps, d_p).
+
+    The batch gradients of the whole stack are reconstructed, sliced,
+    centered and checked for finiteness at once, and one
+    ReferenceEstimates._pairs call gives every step's covariance terms.
+    Each trace's per-step scores are then added in step order, starting
+    from 0.0, as a loop over its steps adds them: np.sum adds 8 or more
+    terms pairwise, and a cumsum starts from the first term, so a sum of
+    -0.0 terms would come out as -0.0 instead of 0.0.
+    """
+    R, S = thetas.shape[0], thetas.shape[1] - 1
+    g_batches = (thetas[:, :-1] - thetas[:, 1:]) / eta if eta else np.zeros(thetas[:, 1:].shape)
     g_stars = g_stars[:, sl]
-    g_batches = g_batches[:, sl]
-    total = 0.0
-    if attack == "scalar":
-        for g_star, g_batch in zip(g_stars, g_batches):
-            total += float(np.dot(g_star, g_batch))
-        return total
-    # lr_empirical_cov step by step, its checks made once for the trace
-    U, V = g_stars - refs.mu0, g_batches - refs.mu0
-    refs._check_finite(U, V)
-    for u, v in zip(U, V):
-        total += _lr_centered(u, v, refs, trace.batch_size)
-    return total
+    g_batches = g_batches[..., sl].reshape(R * S, -1)
+    scores = np.empty((R, len(attacks)))
+    for j, attack in enumerate(attacks):
+        if attack == "scalar":
+            # np.vecdot takes np.dot's routine for each pair of rows
+            steps = np.vecdot(g_stars, g_batches)
+        else:
+            # lr_empirical_cov of each step, its checks made once for the stack
+            U, V = g_stars - refs.mu0, g_batches - refs.mu0
+            refs._check_finite(U, V)
+            cross, quad = refs._pairs(U, V)
+            steps = cross - quad / (2.0 * batch_size)
+        steps = steps.reshape(R, S)
+        total = np.zeros(R)
+        for t in range(S):
+            total += steps[:, t]
+        scores[:, j] = total
+    return scores
 
 
 def run_whitebox_game(
@@ -439,23 +454,22 @@ def run_whitebox_game(
     trace with the chosen attack. The base rows (X, y) must not already
     contain the target, otherwise the exclude branch is meaningless.
     ``threads`` None runs serially; any other value must be an integer
-    >= 1, as in run_crafter, or it is a ConfigError.
+    >= 1, as in run_crafter, or it is a ConfigError. The game is played as
+    arrays by _play_reps, as mi-audit whitebox plays it, and becomes one
+    ScoredRound per rep only on return, as run_fixed_game's arrays do.
     """
     sl = _check_attack(model.d_p, refs, attack, param_slice)
-
-    def read(trace, b, g_stars):
-        return ScoredRound(_score_trace(trace, g_stars, refs, attack, sl), b)
-
-    return _play_reps(model, X, y, target_example, read, eta=eta, batch_size=batch_size,
-                      reps=reps, master_seed=master_seed, epochs=epochs, clip=clip,
-                      noise=noise, threads=threads)
+    scores, bits = _play_reps(model, X, y, target_example, refs, (attack,), sl, eta=eta,
+                              batch_size=batch_size, reps=reps, master_seed=master_seed,
+                              epochs=epochs, clip=clip, noise=noise, threads=threads)
+    return _scored_rounds(scores[:, 0], bits)
 
 
-def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, master_seed,
-               epochs, clip, noise, threads) -> list:
-    """Train each rep of run_whitebox_game once and keep only
-    read(trace, b, g_stars), where g_stars is the target's gradient at each
-    pre-step iterate of the trace, as run_whitebox_attack takes it.
+def _play_reps(model, X, y, target_example, refs, attacks, sl, *, eta, batch_size, reps,
+               master_seed, epochs, clip, noise, threads) -> tuple[np.ndarray, np.ndarray]:
+    """Train each rep of run_whitebox_game once and score its trace with
+    every attack in ``attacks`` on the parameter slice ``sl``, both checked
+    by the caller: (scores (reps, len(attacks)), bits (reps,)) arrays.
 
     Rep r draws its coin, and on heads the row the target replaces, from
     round_stream(master_seed, r), then trains on that stream: the i-th rep
@@ -464,10 +478,10 @@ def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, mast
     its cost. The reps are split into chunks by the games' one rule
     (game._chunk_len), at least one per worker and each within
     _CHUNK_FLOATS of per-example gradients, the largest per-step buffer of
-    _sgd; one _sgd call trains a chunk,
-    one _grad_path call takes the target's gradients along all of its
-    traces, and _map_chunks maps the chunks. Scores do not depend on the
-    split.
+    _sgd; one _sgd call trains a chunk, one _grad_path call takes the
+    target's gradients along all of its traces, one _score_traces call
+    scores them, and _map_chunks maps the chunks. Scores do not depend on
+    the split.
 
     The target is trained and scored with one label: y_t cast to the base
     labels' dtype, which must keep its value.
@@ -493,21 +507,23 @@ def _play_reps(model, X, y, target_example, read, *, eta, batch_size, reps, mast
     label_t = model._check_labels(cast)[0]
     n = X.shape[0]
     per_chunk = _chunk_len(reps, batch_size * model.d_p, threads, _CHUNK_FLOATS)
-    start = ToyModel(model.arch, model.f, model.c, model.theta.copy())
     stream = _round_streams(master_seed)
+    scores = np.empty((reps, len(attacks)))
+    bits = np.empty(reps, dtype=np.uint8)
 
-    def chunk(lo: int, hi: int) -> list:
+    def chunk(lo: int, hi: int) -> None:
         rngs = [stream(r, slot) for slot, r in enumerate(range(lo, hi))]
-        bits = [int(rng.integers(0, 2)) for rng in rngs]
-        swap = np.array([int(rng.integers(0, n)) if b else -1 for rng, b in zip(rngs, bits)])
-        thetas, schedule = _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise,
-                                swap if any(bits) else None, (x_t, label_t))
+        coins = [int(rng.integers(0, 2)) for rng in rngs]
+        swap = np.array([int(rng.integers(0, n)) if b else -1 for rng, b in zip(rngs, coins)])
+        thetas, _ = _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise,
+                         swap if any(coins) else None, (x_t, label_t))
         g_stars = model._grad_path(x_t, label_t, thetas[:, :-1].reshape(-1, model.d_p))
-        g_stars = g_stars.reshape(len(rngs), -1, model.d_p)
-        return [read(TrainTrace(start, thetas[i], float(eta), int(batch_size), schedule[i]), b,
-                     g_stars[i]) for i, b in enumerate(bits)]
+        bits[lo:hi] = coins
+        scores[lo:hi] = _score_traces(thetas, g_stars, float(eta), int(batch_size), refs,
+                                      attacks, sl)
 
-    return [out for part in _map_chunks(chunk, reps, per_chunk, threads) for out in part]
+    _map_chunks(chunk, reps, per_chunk, threads)
+    return scores, bits
 
 
 def make_blobs(n: int, f: int, c: int, *, center_scale: float = 2.0, spread: float = 1.0, seed=0):

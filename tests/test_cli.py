@@ -1,6 +1,7 @@
 """Command-line interface: artifacts, determinism, exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -407,6 +408,23 @@ class TestWhitebox:
         assert msg["error"] == "config"
         assert "threads" in msg["message"]
 
+    @pytest.mark.parametrize("kw, param", [
+        pytest.param({"clip": float("nan")}, "clip", id="clip-nan"),
+        pytest.param({"eta": float("nan")}, "eta", id="eta-nan"),
+        pytest.param({"eta": float("inf")}, "eta", id="eta-inf"),
+        pytest.param({"clip": 1.0, "noise": float("nan")}, "noise", id="noise-nan"),
+        pytest.param({"clip": 1.0, "noise": float("inf")}, "noise", id="noise-inf"),
+        pytest.param({"clip": float("inf"), "noise": 0.5}, "clip",
+                     id="noise-with-infinite-clip"),
+    ])
+    def test_non_finite_sgd_settings_exit_2(self, tmp_path, capsys, kw, param):
+        # json writes these as NaN and Infinity, which the config reader accepts
+        cfg = write_json(tmp_path / "cfg.json", dict(BLOB_CFG, **kw))
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert re.search(rf"\b{param}\b", msg["message"])
+
     @pytest.mark.parametrize("spec, pick", [({"index": 5}, 5), ({"rank": "bottom"}, "argmin")])
     def test_target_by_index_or_bottom_rank(self, tmp_path, spec, pick):
         cfg = write_json(tmp_path / "cfg.json", dict(BLOB_CFG, target=spec))
@@ -463,11 +481,18 @@ class TestWhitebox:
         assert msg["error"] == "config"
         assert "classes 2..49 empty" in msg["message"]
 
-    def test_short_param_slice_fits_references_on_the_slice(self, tmp_path):
+    @pytest.mark.parametrize("kw", [
+        pytest.param({}, id="diagonal"),
+        pytest.param({"cov_mode": "full"}, id="full"),
+        pytest.param({"clip": 1.0, "noise": 0.05}, id="clip-noise"),
+    ])
+    def test_short_param_slice_fits_references_on_the_slice(self, tmp_path, kw):
+        # the command scores both attacks from one _play_reps call, and
+        # run_whitebox_game one attack from another: the CSVs hold its scores
         from mi_audit import make_blobs, run_whitebox_game
 
         blobs = {"n": 24, "f": 4, "c": 3, "seed": 3}
-        spec = dict(BLOB_CFG, data={"blobs": blobs}, param_slice=[12, 15])
+        spec = dict(BLOB_CFG, data={"blobs": blobs}, param_slice=[12, 15], **kw)
         cfg = write_json(tmp_path / "cfg.json", spec)
         out = tmp_path / "out"
         assert main(["whitebox", "--config", cfg, "-o", str(out)]) == 0
@@ -477,12 +502,14 @@ class TestWhitebox:
         theta0 = np.random.default_rng(4).standard_normal(15) * 0.5
         model = ToyModel("logistic", f=4, c=3, theta=theta0)
         keep = np.arange(25) != doc["target_index"]
-        refs = estimate_reference(model.grad_batch(X, y)[keep][:, 12:15], cov_mode="diagonal")
+        refs = estimate_reference(model.grad_batch(X, y)[keep][:, 12:15],
+                                  cov_mode=spec["cov_mode"])
         target = (X[doc["target_index"]], y[doc["target_index"]])
         for attack in ("covariance", "scalar"):
             game = run_whitebox_game(
                 model, X[keep], y[keep], target, eta=0.05, batch_size=8, refs=refs,
                 attack=attack, reps=8, master_seed=7, param_slice=(12, 15),
+                clip=spec.get("clip"), noise=spec.get("noise"),
             )
             raw = np.loadtxt(out / f"scores_{attack}.csv", delimiter=",", skiprows=1)
             assert np.array_equal(raw[:, 1], [r.score for r in game])

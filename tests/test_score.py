@@ -32,6 +32,7 @@ from mi_audit import (
     score_transcript,
     subsample_count,
 )
+from mi_audit import score
 
 
 @pytest.fixture
@@ -119,6 +120,42 @@ class TestReferenceEstimates:
                 scipy.linalg.solve_triangular(refs._chol, u, lower=True)
             with pytest.raises(ValueError, match="^array must not contain infs or NaNs$"):
                 refs.precision_quad(u)
+
+    @pytest.mark.parametrize("form", ["diagonal", "full-F", "full-C"])
+    def test_pair_kernel_equals_precision_pair_row_by_row(self, form, monkeypatch):
+        # each entry is np.dot of the two vectors whitened on their own, as
+        # the per-step code in tests/oracles.py computes it
+        rng = np.random.default_rng(29)
+        d = 9
+        B = rng.normal(size=(30, d))
+        if form == "diagonal":
+            refs = ReferenceEstimates(np.zeros(d), rng.uniform(0.5, 2.0, d), n0=30, ridge=1e-3)
+            var = refs.c0 + refs.ridge
+
+            def pair(u, v):
+                return float(np.dot(u / var, v)), float(np.dot(u / var, u))
+        else:
+            real = scipy.linalg.cholesky
+            monkeypatch.setattr(scipy.linalg, "cholesky",
+                                lambda *a, **kw: np.asarray(real(*a, **kw), order=form[-1]))
+            refs = ReferenceEstimates(np.zeros(d), B.T @ B / 30, n0=30, ridge=1e-3)
+            assert refs._chol.flags[f"{form[-1]}_CONTIGUOUS"]
+
+            def pair(u, v):
+                wu = scipy.linalg.solve_triangular(refs._chol, u, lower=True)
+                wv = scipy.linalg.solve_triangular(refs._chol, v, lower=True)
+                return float(np.dot(wu, wv)), float(np.dot(wu, wu))
+        U, V = rng.normal(size=(2, 17, d)) * 10.0 ** rng.integers(-3, 4, size=(2, 17, 1))
+        cross, quad = refs._pairs(U, V)
+        assert cross.shape == quad.shape == (17,)
+        for u, v, c, q in zip(U, V, cross, quad):
+            assert (c, q) == refs.precision_pair(u, v) == pair(u, v)
+        for u in (U[3], U[3:4]):  # one row against every row of V
+            cross, quad = refs._pairs(u, V)
+            assert cross.shape == (17,) and quad.size == 1
+            for v, c in zip(V, cross):
+                assert (c, float(quad.flat[0])) == refs.precision_pair(U[3], v) == pair(U[3], v)
+        assert refs._pairs(U, U)[1].tolist() == [refs.precision_quad(u) for u in U]
 
     def test_full_covariance_round_trips_through_pickle(self):
         rng = np.random.default_rng(26)
@@ -452,6 +489,26 @@ class TestBlockForms:
                 assert got.tolist() == want, name
         sentinel = make_score("lr_exact_bernoulli", dist=bern, n=n).block(O, z)
         assert sentinel[7] == -np.inf and np.isfinite(np.delete(sentinel, 7)).all()
+
+    def test_full_reference_block_whitens_each_release_once(self, monkeypatch):
+        rng = np.random.default_rng(30)
+        d, T = 7, 12
+        dist = ProductDistribution.gaussian(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
+        refs = estimate_reference(dist.sample_dataset(60, rng), cov_mode="full")
+        fn = make_score("lr_empirical_cov", dist=dist, n=10, refs=refs)
+        z, O = rng.normal(size=d), rng.normal(size=(T, d))
+        want = [fn(o, z) for o in O]
+        solves = []
+        real = score._TRTRS
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(score, "_TRTRS", counting)
+        got = fn.block(O, z)
+        assert len(solves) == T + 1  # the target once, then each release
+        assert got.tolist() == want
 
     def test_block_failures_name_the_first_bad_round(self, small_dist):
         rng = np.random.default_rng(28)

@@ -20,6 +20,18 @@ from mi_audit import score, whitebox
 from mi_audit.whitebox import _logsumexp_rows
 
 
+# non-finite SGD settings, each with the parameter its error must name;
+# tests/test_cli.py plays the same cases through mi-audit whitebox
+NONFINITE_SGD = {
+    "clip-nan": ({"clip": np.nan}, "clip"),
+    "eta-nan": ({"eta": np.nan}, "eta"),
+    "eta-inf": ({"eta": np.inf}, "eta"),
+    "noise-nan": ({"clip": 1.0, "noise": np.nan}, "noise"),
+    "noise-inf": ({"clip": 1.0, "noise": np.inf}, "noise"),
+    "noise-with-infinite-clip": ({"clip": np.inf, "noise": 0.5}, "clip"),
+}
+
+
 @pytest.fixture
 def linear_model():
     rng = np.random.default_rng(71)
@@ -207,6 +219,21 @@ class TestTrainSgd:
         b = train_sgd(
             linear_model, (X, y), eta=0.1, batch_size=6, epochs=1, clip=1.0, noise=0.0, seed=9
         )
+        assert np.array_equal(a.thetas, b.thetas)
+
+    @pytest.mark.parametrize("kw, param", NONFINITE_SGD.values(), ids=list(NONFINITE_SGD))
+    def test_non_finite_settings_are_rejected(self, linear_model, small_regression, kw,
+                                              param):
+        X, y = small_regression
+        sgd = {"eta": 0.1, "batch_size": 6, "epochs": 1, **kw}
+        with pytest.raises(ValueError, match=rf"\b{param}\b"):
+            train_sgd(linear_model, (X, y), **sgd)
+
+    def test_infinite_clip_without_noise_does_not_clip(self, linear_model, small_regression):
+        X, y = small_regression
+        kw = dict(eta=0.1, batch_size=6, epochs=1, seed=9)
+        a = train_sgd(linear_model, (X, y), **kw)
+        b = train_sgd(linear_model, (X, y), clip=np.inf, **kw)
         assert np.array_equal(a.thetas, b.thetas)
 
     def test_noisy_runs_reproduce_under_a_seed(self, linear_model, small_regression):
