@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ConfigError", "NumericalError", "as_vector"]
+__all__ = ["ConfigError", "NumericalError", "as_vector", "json_object"]
 
 
 class ConfigError(ValueError):
@@ -39,3 +39,11 @@ def as_vector(x, d: int | None = None, name: str = "vector") -> np.ndarray:
     if d is not None and v.shape[0] != d:
         raise ValueError(f"dimension mismatch: {name} has length {v.shape[0]}, expected {d}")
     return v
+
+
+def json_object(value, key: str) -> dict:
+    """``value`` if it is a dict, the form a JSON object is parsed to;
+    otherwise a ConfigError that names the config ``key``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value

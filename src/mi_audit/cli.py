@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import ConfigError, NumericalError
+from ._util import ConfigError, NumericalError, json_object
 from .canary import estimate_reference, mahalanobis_score_est
 from .dist import ProductDistribution, target_from_spec
 from .game import GameConfig, _advantage, _play_fixed_game, _roc
@@ -61,7 +61,7 @@ def _file_digest(path: str) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            return json_object(json.load(f), f"config {path}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
 
@@ -287,6 +287,15 @@ def _param_slice(cfg) -> tuple | None:
     return tuple(raw)
 
 
+def _float_or_none(cfg: dict, key: str) -> float | None:
+    # a number, converted as eta is, or null for None
+    value = cfg.get(key)
+    try:
+        return None if value is None else float(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{key} must be a number or null, got {value!r}") from e
+
+
 def cmd_whitebox(args) -> int:
     cfg = _load_config(args.config)
     if args.master_seed is not None:
@@ -301,8 +310,8 @@ def cmd_whitebox(args) -> int:
     except KeyError as e:
         raise ConfigError(f"whitebox config missing key {e}") from e
 
-    if "blobs" in data_spec:
-        spec = data_spec["blobs"]
+    if "blobs" in json_object(data_spec, "data"):
+        spec = json_object(data_spec["blobs"], "data.blobs")
         try:
             # the model has the spec's c classes, whether or not the draw
             # hits every one of them; one extra point so the training set
@@ -342,25 +351,29 @@ def cmd_whitebox(args) -> int:
     c = max(2, classes) if arch == "logistic" else 1
     theta0 = None
     if "theta0" in cfg:
-        init = cfg["theta0"]
+        init = json_object(cfg["theta0"], "theta0")
         shape = ToyModel(arch, f=X.shape[1], c=c).d_p
         rng = np.random.default_rng(int(init.get("seed", 0)))
         theta0 = rng.standard_normal(shape) * float(init.get("scale", 1.0))
     model = ToyModel(arch, f=X.shape[1], c=c, theta=theta0)
+
+    centered = cfg.get("centered", False)
+    if not isinstance(centered, bool):
+        raise ConfigError(f"centered must be true or false, got {centered!r}")
 
     def fit_refs(grad_rows):
         return estimate_reference(
             grad_rows,
             cov_mode=cfg.get("cov_mode", "full"),
             ridge=cfg.get("ridge"),
-            centered=bool(cfg.get("centered", False)),
+            centered=centered,
         )
 
     grads = reference_gradients(model, X, y)
     pool_refs = fit_refs(grads)
     maha = np.array([mahalanobis_score_est(g, pool_refs) for g in grads])
 
-    target_spec = cfg.get("target", {"rank": "top"})
+    target_spec = json_object(cfg.get("target", {"rank": "top"}), "target")
     if "index" in target_spec:
         t_idx = int(target_spec["index"])
         if not 0 <= t_idx < len(X):
@@ -383,8 +396,8 @@ def cmd_whitebox(args) -> int:
     # both attacks score each rep's one training run
     scores, bits = _play_reps(model, X_base, y_base, target, refs, attacks, sl, eta=eta,
                               batch_size=batch_size, reps=reps, master_seed=master_seed,
-                              epochs=int(cfg.get("epochs", 1)), clip=cfg.get("clip"),
-                              noise=cfg.get("noise"), threads=_threads(args, cfg))
+                              epochs=int(cfg.get("epochs", 1)), clip=_float_or_none(cfg, "clip"),
+                              noise=_float_or_none(cfg, "noise"), threads=_threads(args, cfg))
     out = _out_dir(args)
     results = {}
     for attack, column in zip(attacks, scores.T):

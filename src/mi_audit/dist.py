@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._util import ConfigError, as_vector
+from ._util import ConfigError, as_vector, json_object
 from .score import OracleMoments
 
 __all__ = [
@@ -170,6 +170,7 @@ class ProductDistribution:
                          {"law": "gaussian", "mean": 0, "var": 1}, ...]}
             {"law": "bernoulli_uniform", "d": 5000, "a": 0.25, "seed": 7}
         """
+        json_object(obj, "dist")
         try:
             if "columns" in obj:
                 cols = []

@@ -14,12 +14,12 @@ its randomness from a counter-based stream keyed by (s, t). Rounds are
 therefore independent of execution order and thread count, and a fixed seed
 yields bit-identical transcripts everywhere.
 
-Rounds are played in chunks. A chunk makes the draws of its rounds one
-round at a time, each on that round's own (s, t) stream, and then
-finishes, scores and keeps the whole chunk as arrays. Chunks group the
-arithmetic, never the randomness: every element is computed as the
-one-round path computes it, so neither the chunk size nor the worker count
-changes a bit of a transcript or a score.
+Both games play their rounds in chunks. A chunk makes the draws of its
+rounds one round at a time, each on that round's own (s, t) stream, then
+finishes, scores and keeps the whole chunk, and in the average game its
+targets, as arrays. Chunks group the arithmetic, never the randomness:
+every element is computed as the one-round path computes it, so neither
+the chunk size nor the worker count changes a bit of a transcript or a score.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, as_vector
+from ._util import ConfigError, NumericalError, as_vector, json_object
 from .dist import ProductDistribution, target_from_spec
 from .mech import mechanism_from_spec
 from .score import SCORE_NAMES, make_score
@@ -142,7 +142,7 @@ class GameConfig:
             score_name = str(obj["score"])
         except KeyError as e:
             raise ConfigError(f"game config missing key {e}") from e
-        info = dict(obj.get("score_info", {}))
+        info = dict(json_object(obj.get("score_info", {}), "score_info"))
         kwargs = {}
         for key in ("z_targ", "z_ref"):
             if key in info:
@@ -154,7 +154,7 @@ class GameConfig:
         if "refs" in info:
             from .canary import estimate_reference
 
-            spec = dict(info.pop("refs"))
+            spec = dict(json_object(info.pop("refs"), "score_info.refs"))
             try:
                 n0 = int(spec.pop("n0"))
                 seed = int(spec.pop("seed"))
@@ -263,26 +263,29 @@ def craft(dist: ProductDistribution, mech, n: int, z, rng: np.random.Generator):
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    out = np.empty((1, dist.d), dtype=np.float64)
-    (b,) = _craft_rounds(dist, mech, n, as_vector(z, dist.d, "z"), [rng], out)
-    return out[0], b
+    b = int(rng.integers(0, 2))
+    return mech.release(dist, n, as_vector(z, dist.d, "z"), b, rng), b
 
 
-def _craft_rounds(dist, mech, n: int, zv: np.ndarray, rngs, out: np.ndarray) -> list[int]:
+def _craft_rounds(dist, mech, n: int, z: np.ndarray, rngs, out: np.ndarray) -> list[int]:
     """craft for a chunk of rounds, on checked inputs: ``rngs`` yields each
     round's generator in turn, row i of ``out`` receives round i's release,
-    and the bits come back in round order. The mechanism's chunk form makes
-    each round's draws on its generator before the next is asked for, so
-    one generator may be rekeyed from round to round."""
+    and the bits come back in round order. ``z`` is every round's target,
+    or a (T, d) block whose row i receives round i's target, drawn before
+    its coin. The mechanism's chunk form makes each round's draws on its
+    generator before the next is asked for, so one generator may be
+    rekeyed from round to round."""
     bits = []
 
     def coins():
-        for rng in rngs:
+        for i, rng in enumerate(rngs):
+            if z.ndim == 2:
+                z[i] = dist.sample_dataset(1, rng)[0]
             b = int(rng.integers(0, 2))
             bits.append(b)
             yield b, rng
 
-    mech._release_rounds(dist, n, zv, coins(), out)
+    mech._release_rounds(dist, n, z, coins(), out)
     return bits
 
 
@@ -294,17 +297,6 @@ def _resolve_threads(threads: int | None) -> int:
     if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     return threads
-
-
-def _map_rounds(fn, count: int, threads: int | None) -> list:
-    """``[fn(t) for t in range(count)]``, on a pool when ``threads`` >= 2.
-    Each round draws from its own (seed, t) stream, so results never
-    depend on the worker count."""
-    workers = _resolve_threads(threads)
-    if workers == 1 or count == 1:
-        return [fn(t) for t in range(count)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, range(count)))
 
 
 # Float64 entries in the largest block a chunk of a game works on: a chunk
@@ -328,9 +320,16 @@ def _chunk_len(count: int, floats_each: int, threads: int | None, budget: int) -
 
 def _map_chunks(fn, count: int, size: int, threads: int | None) -> list:
     """``fn(lo, hi)`` for each chunk [lo, hi) of ``size`` items of
-    range(count), in order, mapped by _map_rounds."""
-    return _map_rounds(lambda k: fn(k * size, min(count, (k + 1) * size)), -(-count // size),
-                       threads)
+    range(count), in order, on a pool when ``threads`` >= 2. Each round
+    draws from its own (seed, t) stream, so results never depend on the
+    worker count."""
+    workers = _resolve_threads(threads)
+    starts = range(0, count, size)
+    ends = [min(count, lo + size) for lo in starts]
+    if workers == 1 or len(starts) == 1:
+        return list(map(fn, starts, ends))
+    with ThreadPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, starts, ends))
 
 
 def run_crafter(
@@ -368,24 +367,14 @@ def run_crafter(
     return CrafterTranscript(outputs=outputs, bits=bits)
 
 
-def _score_round(score_fn, o: np.ndarray, z, t: int) -> float:
-    try:
-        s = float(score_fn(o, z))
-    except Exception as e:
-        e.args = (f"round {t}: {e}",)
-        raise
-    if np.isnan(s):
-        raise NumericalError(f"round {t}: score is NaN")
-    return s
-
-
 def _score_rows(score_fn, outputs: np.ndarray, z, first: int) -> np.ndarray:
-    """Scores of a block of released rows, row 0 being round ``first``.
+    """Scores of a block of released rows, row 0 being round ``first``,
+    against one target ``z`` or each against its row of a (T, d) ``z``.
 
     A score with a block form (see :func:`mi_audit.score.make_score`)
     scores the block in one call. If that call fails, or the score has no
-    block form, each row is scored alone, so a failure names its round as
-    _score_round does. A NaN score is rejected, naming the first round
+    block form, each row is scored alone, so a failure is re-raised with
+    its round attached. A NaN score is rejected, naming the first round
     that gave one.
     """
     block = getattr(score_fn, "block", None)
@@ -394,10 +383,17 @@ def _score_rows(score_fn, outputs: np.ndarray, z, first: int) -> np.ndarray:
         try:
             scores = np.asarray(block(outputs, z), dtype=np.float64)
         except Exception:  # rescored row by row below, to name the round
-            scores = None
+            pass
     if scores is None:
-        return np.array([_score_round(score_fn, o, z, first + i) for i, o in enumerate(outputs)],
-                        dtype=np.float64)
+        scores = np.empty(len(outputs), dtype=np.float64)
+        for i, o in enumerate(outputs):
+            try:
+                scores[i] = float(score_fn(o, z[i] if np.ndim(z) == 2 else z))
+            except Exception as e:
+                e.args = (f"round {first + i}: {e}",)
+                raise
+            if np.isnan(scores[i]):
+                break  # named below, before any later round is scored
     nan = np.flatnonzero(np.isnan(scores))
     if nan.size:
         raise NumericalError(f"round {first + int(nan[0])}: score is NaN")
@@ -423,30 +419,41 @@ def score_transcript(transcript: CrafterTranscript, score_fn, z) -> list[ScoredR
     return _scored_rounds(np.concatenate(scores), transcript.bits)
 
 
-def _play_fixed_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
-    """run_fixed_game as (scores, bits) arrays.
+def _play(dist, mech, n: int, z, score_fn, rounds: int, seed: int,
+          threads: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """(scores, bits) of ``rounds`` rounds against the target ``z``, or,
+    with ``z`` None, against a target each round draws.
 
     Each chunk of rounds is crafted and scored in turn, and only its scores
     and bits are kept, so a game holds one chunk of releases per worker
-    whatever its round count. The values are those of scoring the whole
-    run_crafter transcript with score_transcript.
+    whatever its round count. The values are those of crafting and scoring
+    one round at a time.
     """
-    score_fn = make_score(
-        cfg.score_name, dist=cfg.dist, n=cfg.n, mech=cfg.mech, **cfg.score_kwargs
-    )
-    d, rounds = cfg.dist.d, cfg.rounds
-    zv = as_vector(cfg.z, d, "z")
+    d = dist.d
+    zv = None if z is None else as_vector(z, d, "z")
     scores = np.empty(rounds, dtype=np.float64)
     bits = np.empty(rounds, dtype=np.uint8)
-    stream = _round_streams(cfg.master_seed)
+    stream = _round_streams(seed)
 
     def chunk(lo: int, hi: int) -> None:
         out = np.empty((hi - lo, d), dtype=np.float64)
-        bits[lo:hi] = _craft_rounds(cfg.dist, cfg.mech, cfg.n, zv, map(stream, range(lo, hi)), out)
-        scores[lo:hi] = _score_rows(score_fn, out, cfg.z, lo)
+        Z = np.empty_like(out) if zv is None else zv
+        bits[lo:hi] = _craft_rounds(dist, mech, n, Z, map(stream, range(lo, hi)), out)
+        scores[lo:hi] = _score_rows(score_fn, out, Z, lo)
 
-    _map_chunks(chunk, rounds, _chunk_len(rounds, d, cfg.threads, _CHUNK_FLOATS), cfg.threads)
+    # an average-game chunk holds two (T, d) blocks: releases and targets
+    size = _chunk_len(rounds, d if zv is not None else 2 * d, threads, _CHUNK_FLOATS)
+    _map_chunks(chunk, rounds, size, threads)
     return scores, bits
+
+
+def _play_fixed_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:
+    """run_fixed_game as (scores, bits) arrays."""
+    score_fn = make_score(
+        cfg.score_name, dist=cfg.dist, n=cfg.n, mech=cfg.mech, **cfg.score_kwargs
+    )
+    return _play(cfg.dist, cfg.mech, cfg.n, cfg.z, score_fn, cfg.rounds, cfg.master_seed,
+                 cfg.threads)
 
 
 def run_fixed_game(cfg: GameConfig) -> list[ScoredRound]:
@@ -466,27 +473,21 @@ def run_average_game(
 ) -> list[ScoredRound]:
     """Game variant where the target itself is random each round.
 
-    Round t draws its target z from the distribution, then crafts with
-    :func:`craft`: on heads z is planted among n - 1 fresh rows, on tails n
-    fresh rows are released. The score is taken against the round's own
-    target, so averaging over rounds averages the fixed-target game over
-    targets drawn from the distribution. The law is that of a heads target
-    chosen uniformly from n i.i.d. rows, since such a row is a draw from the
-    distribution among n - 1 others. ``threads`` as in :func:`run_crafter`.
+    Round t draws its target z from the distribution, then crafts as
+    :func:`craft` does on the same stream: on heads z is planted among n - 1
+    fresh rows, on tails n fresh rows are released. The score is taken
+    against the round's own target, so averaging over rounds averages the
+    fixed-target game over targets drawn from the distribution. The law is
+    that of a heads target chosen uniformly from n i.i.d. rows, since such a
+    row is a draw from the distribution among n - 1 others. Rounds are
+    crafted and scored by chunk, as in :func:`run_fixed_game`, each chunk
+    against its block of targets. ``threads`` as in :func:`run_crafter`.
     """
     if T < 1:
         raise ValueError("T must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    stream = _round_streams(seed)
-
-    def one(t: int) -> ScoredRound:
-        rng = stream(t)
-        z = dist.sample_dataset(1, rng)[0].astype(np.float64)
-        o, b = craft(dist, mech, n, z, rng)
-        return ScoredRound(score=_score_round(score, o, z, t), b=b)
-
-    return _map_rounds(one, T, threads)
+    return _scored_rounds(*_play(dist, mech, n, None, score, T, seed, threads))
 
 
 def _arrays(rounds) -> tuple[np.ndarray, np.ndarray]:

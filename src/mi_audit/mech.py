@@ -5,10 +5,11 @@ an (n, d) dataset and an RNG stream. ``release`` draws the same law without
 the dataset: every mechanism here depends on its rows only through their
 column sums, so it asks a :class:`~mi_audit.dist.ProductDistribution` for
 the sums of the rows it averages and adds the planted target itself. The
-game crafter calls the chunk form of ``release``, of which ``release`` is
-the one-round case: each round makes its draws in ``release``'s order on
-its own generator, and one pass of array arithmetic then finishes the
-whole chunk, element by element as ``release`` finishes one round.
+three means share that release body. The game crafter calls its chunk
+form, of which ``release`` is the one-round case: each round makes its
+draws in ``release``'s order on its own generator, and one pass of array
+arithmetic then finishes the whole chunk, with one target for every round
+or one per round, element by element as ``release`` finishes one round.
 Mechanisms are immutable value objects so one instance can be shared
 across concurrent game rounds.
 """
@@ -19,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from ._util import ConfigError
+from ._util import ConfigError, json_object
 
 __all__ = [
     "EmpiricalMean",
@@ -37,22 +38,6 @@ def _check_dataset(D) -> np.ndarray:
     return D
 
 
-def _planted_means(dist, rows: int, z: np.ndarray, planted, raw: np.ndarray, out: np.ndarray):
-    # finish a block of _draw_sums rows into out, as means of `rows` rows
-    # with the target among them in row i when planted[i] is 1:
-    # (S(rows - planted) + planted z) / rows
-    planted = np.asarray(planted, dtype=np.intp)
-    dist._finish_sums(raw, rows - planted, out)
-    out[planted == 1] += z
-    out /= rows
-    return out
-
-
-def _release(mech, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
-    # a mechanism's release: the one-round case of its _release_rounds
-    return mech._release_rounds(dist, n, z, [(b, rng)], np.empty((1, dist.d)))[0]
-
-
 def subsample_count(rho: float, n: int) -> int:
     """Number of rows kept at rate rho, round(rho * n) floored at 1."""
     if not 0.0 < rho <= 1.0:
@@ -62,34 +47,65 @@ def subsample_count(rho: float, n: int) -> int:
     return max(1, int(round(rho * n)))
 
 
+class _ColumnMean:
+    """The release body the three means share. A mechanism supplies the
+    rows it averages (``_rows``), whether a heads target is among them
+    (``_kept``), and the scale of its noise (``_noise_scale``)."""
+
+    def _rows(self, n: int) -> int:
+        return n
+
+    def _kept(self, b: int, rows: int, n: int, rng: np.random.Generator) -> int:
+        return b
+
+    def _noise_scale(self, d: int, n: int):
+        return None
+
+    def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
+        """Mean of r i.i.d. rows of ``dist``, r the rows the mechanism
+        averages, with the target ``z`` in place of one of them when i is 1:
+        (S(r - i) + i z) / r, S the column sums, then the mechanism's noise.
+        i is b, or for a subsampled mean a Bernoulli(r / n) draw on heads."""
+        return self._release_rounds(dist, n, z, [(b, rng)], np.empty((1, dist.d)))[0]
+
+    def _release_rounds(self, dist, n: int, z: np.ndarray, rounds, out: np.ndarray):
+        """release for a chunk of rounds. ``rounds`` yields each round's
+        (b, rng) in order, row i of ``out`` receives round i's release, and
+        ``z`` is the target of every round, (d,), or of round i in row i of
+        a (T, d) block. Each round makes release's draws on its own
+        generator: whether its target is kept, the sums, then the noise. One
+        pass then finishes the block."""
+        rows = self._rows(n)
+        scale = self._noise_scale(dist.d, n)
+        raw = np.empty_like(out)
+        noise = None if scale is None else np.empty_like(out)
+        kept = np.empty(len(out), dtype=np.intp)
+        for i, (b, rng) in enumerate(rounds):
+            kept[i] = k = self._kept(b, rows, n, rng)
+            dist._draw_sums(rows - k, rng, raw[i])
+            if noise is not None:
+                rng.standard_normal(out=noise[i])
+        dist._finish_sums(raw, rows - kept, out)
+        hit = kept == 1
+        out[hit] += z[hit] if np.ndim(z) == 2 else z
+        out /= rows
+        if noise is not None:
+            noise *= scale
+            out += noise
+        return out
+
+
 @dataclasses.dataclass(frozen=True)
-class EmpiricalMean:
+class EmpiricalMean(_ColumnMean):
     """Releases the exact column-wise mean."""
 
     def apply(self, D, rng: np.random.Generator | None = None) -> np.ndarray:
         D = _check_dataset(D)
         return D.mean(axis=0, dtype=np.float64)
 
-    def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
-        """Mean of n i.i.d. rows of ``dist``, one of them replaced by the
-        target ``z`` when b is 1: (S(n - b) + b z) / n, S the column sums."""
-        return _release(self, dist, n, z, b, rng)
-
-    def _release_rounds(self, dist, n: int, z: np.ndarray, rounds, out: np.ndarray):
-        """release for a chunk of rounds. ``rounds`` yields each round's
-        (b, rng) in order, and row i of ``out`` receives round i's release.
-        Each round makes release's draws on its own generator; one pass
-        then finishes the block."""
-        raw = np.empty_like(out)
-        planted = []
-        for i, (b, rng) in enumerate(rounds):
-            dist._draw_sums(n - b, rng, raw[i])
-            planted.append(b)
-        return _planted_means(dist, n, z, planted, raw, out)
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class NoisyMean:
+class NoisyMean(_ColumnMean):
     """Releases the column mean plus centered Gaussian noise with standard
     deviation gamma_j / sqrt(n) in coordinate j.
 
@@ -109,42 +125,23 @@ class NoisyMean:
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
 
-    def _check_columns(self, d: int) -> None:
+    def apply(self, D, rng: np.random.Generator) -> np.ndarray:
+        D = _check_dataset(D)
+        n, d = D.shape
+        scale = self._noise_scale(d, n)
+        return D.mean(axis=0, dtype=np.float64) + rng.standard_normal(d) * scale
+
+    def _noise_scale(self, d: int, n: int):
+        # checked before anything is drawn
         if self.gamma.shape[0] not in (1, d):
             raise ValueError(
                 f"gamma has length {self.gamma.shape[0]} but the dataset has {d} columns"
             )
-
-    def apply(self, D, rng: np.random.Generator) -> np.ndarray:
-        D = _check_dataset(D)
-        n, d = D.shape
-        self._check_columns(d)
-        noise = rng.standard_normal(d) * (self.gamma / np.sqrt(n))
-        return D.mean(axis=0, dtype=np.float64) + noise
-
-    def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
-        """The exact mean of :meth:`EmpiricalMean.release`, then the noise."""
-        return _release(self, dist, n, z, b, rng)
-
-    def _release_rounds(self, dist, n: int, z: np.ndarray, rounds, out: np.ndarray):
-        """release for a chunk of rounds, as :meth:`EmpiricalMean._release_rounds`;
-        each round draws its noise after its sums."""
-        self._check_columns(dist.d)
-        raw = np.empty_like(out)
-        noise = np.empty_like(out)
-        planted = []
-        for i, (b, rng) in enumerate(rounds):
-            dist._draw_sums(n - b, rng, raw[i])
-            rng.standard_normal(out=noise[i])
-            planted.append(b)
-        _planted_means(dist, n, z, planted, raw, out)
-        noise *= self.gamma / np.sqrt(n)
-        out += noise
-        return out
+        return self.gamma / np.sqrt(n)
 
 
 @dataclasses.dataclass(frozen=True)
-class SubsampledMean:
+class SubsampledMean(_ColumnMean):
     """Releases the exact mean of k = round(rho * n) rows chosen uniformly
     without replacement, independently of the data.
 
@@ -175,23 +172,12 @@ class SubsampledMean:
             idx[i], idx[j] = idx[j], idx[i]
         return D[idx[:k]].mean(axis=0, dtype=np.float64)
 
-    def release(self, dist, n: int, z: np.ndarray, b: int, rng: np.random.Generator):
-        """Mean of the k kept rows. A planted target is kept with
-        probability k / n, i ~ Bernoulli(k / n), and the release is then
-        (S(k - i) + i z) / k."""
-        return _release(self, dist, n, z, b, rng)
+    def _rows(self, n: int) -> int:
+        return self.k(n)
 
-    def _release_rounds(self, dist, n: int, z: np.ndarray, rounds, out: np.ndarray):
-        """release for a chunk of rounds, as :meth:`EmpiricalMean._release_rounds`;
-        only a heads round draws whether its target is kept."""
-        k = self.k(n)
-        raw = np.empty_like(out)
-        kept = []
-        for i, (b, rng) in enumerate(rounds):
-            i_kept = int(b == 1 and rng.random() < k / n)
-            dist._draw_sums(k - i_kept, rng, raw[i])
-            kept.append(i_kept)
-        return _planted_means(dist, k, z, kept, raw, out)
+    def _kept(self, b: int, rows: int, n: int, rng: np.random.Generator) -> int:
+        # only a heads round draws whether its target is among the k rows
+        return int(b == 1 and rng.random() < rows / n)
 
 
 def mechanism_from_spec(obj: dict):
@@ -204,7 +190,7 @@ def mechanism_from_spec(obj: dict):
         {"mechanism": "noisy_mean", "gamma": [0.5, 1.0, ...]}
         {"mechanism": "subsampled_mean", "rho": 0.5}
     """
-    kind = obj.get("mechanism")
+    kind = json_object(obj, "mechanism").get("mechanism")
     try:
         if kind == "empirical_mean":
             return EmpiricalMean()

@@ -222,7 +222,7 @@ def _exact_bernoulli(mu_hat: np.ndarray, z, mu: np.ndarray):
     # lr_exact_bernoulli of a release (d,) or of each row of a block (T, d):
     # element-wise terms, then one sum per row, which adds a row's terms in
     # the same order whether the row stands alone or in a block
-    zv = as_vector(z, mu.shape[0], "z")
+    zv = _targets(z, mu_hat, mu.shape[0])
     if np.any(mu <= 0) or np.any(mu >= 1):
         raise ValueError("mu must lie strictly inside (0, 1) component-wise")
     if np.any(mu_hat < 0) or np.any(mu_hat > 1):
@@ -258,7 +258,7 @@ def lr_empirical_cov(mu_hat, z, refs: ReferenceEstimates, n: int) -> float:
 
 def _lr(mu_hat: np.ndarray, z, refs: ReferenceEstimates, n: int):
     # lr_empirical_cov of a release (d,) or of each row of a block (T, d)
-    u = as_vector(z, refs.d, "z") - refs.mu0
+    u = _targets(z, mu_hat, refs.d) - refs.mu0
     v = mu_hat - refs.mu0
     refs._check_finite(u, v)
     cross, quad = refs._pairs(u, v)
@@ -281,6 +281,16 @@ def _as_rows(x, d: int, name: str) -> np.ndarray:
     if v.ndim != 2 or v.shape[1] != d:
         raise ValueError(f"{name} must be a (T, {d}) block, got shape {v.shape}")
     return v
+
+
+def _targets(z, mu_hat: np.ndarray, d: int) -> np.ndarray:
+    # the target of a release (d,), or of a block (T, d) of releases: one
+    # for every row, or a (T, d) block of one per row
+    if mu_hat.ndim == 1 or np.ndim(z) != 2:
+        return as_vector(z, d, "z")
+    if np.shape(z) != mu_hat.shape:
+        raise ValueError(f"z must be ({d},) or {mu_hat.shape}, got shape {np.shape(z)}")
+    return np.asarray(z, dtype=np.float64)
 
 
 def _noise_inflated(om: OracleMoments, gamma) -> OracleMoments:
@@ -332,7 +342,7 @@ def _subsampled(mu_hat_sub: np.ndarray, z, om: OracleMoments, rho: float, k: int
     # summed per row as _exact_bernoulli is
     sigma = np.sqrt(om.sigma2)
     diff = mu_hat_sub - om.mu
-    zv = as_vector(z, om.d, "z")
+    zv = _targets(z, mu_hat_sub, om.d)
     d_out = np.sqrt(k) * diff / sigma
     d_in = (k * diff + (om.mu - zv)) / (np.sqrt(k - 1.0) * sigma)
     q = np.square(d_out) - np.square(d_in)
@@ -377,7 +387,8 @@ def make_score(
 
     The callable also carries ``score.block(O, z)``, its values on every
     row of a (T, d) block of releases as a length-T array, bit for bit
-    those of one call per row; the game loops score through it.
+    those of one call per row, with one target z for every row or a (T, d)
+    block of one per row; the game loops score through it.
 
     Defaults are resolved from the distribution and, where it makes sense,
     from the mechanism: lr_noisy takes gamma from a NoisyMean mechanism,
@@ -413,8 +424,8 @@ def make_score(
 
         def scalar_rows(O, z):
             # np.vecdot takes np.dot's routine for each row, as scalar_product does
-            w = as_vector(z, name="z") - as_vector(ref, dist.d, "z_ref")
-            return np.vecdot(w, _as_rows(O, w.shape[0], "mu_hat"))
+            O = _as_rows(O, dist.d, "mu_hat")
+            return np.vecdot(_targets(z, O, dist.d) - ref, O)
 
         return _bound(lambda o, z: scalar_product(o, z, ref), scalar_rows)
     if name == "lr_noisy":

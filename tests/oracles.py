@@ -5,7 +5,9 @@ a different route: a different package (mpmath, scipy.stats), exhaustive
 enumeration, or a brute-force algorithm. The frozen decimal constants were
 produced by a 40-digit mpmath session and pinned before the tests that
 consume them were written. Nothing in this file imports the library under
-test.
+test, except average_round_ref: it plays the average-target game one round
+at a time through the library's public one-round calls, the exact reference
+for the chunked game.
 """
 
 import math
@@ -345,6 +347,29 @@ def average_round_rows(dist, mech, n, score, rng):
     else:
         z = dist.sample_dataset(1, rng)[0].astype(np.float64)
     return float(score(mech.apply(D, rng), z)), b
+
+
+def average_round_ref(dist, mech, n, score, seed, t):
+    """Round t of run_average_game(dist, mech, n, score, T, seed), one call
+    at a time: on the round's stream round_stream(seed, t) the target is
+    drawn from dist and stored as float64, craft releases on the same
+    stream, and the score is taken against the round's own target. Returns
+    (score, bit), equal bit for bit to the game's round t. A score that
+    raises or gives NaN is an error naming round t.
+    """
+    from mi_audit import NumericalError, craft, round_stream
+
+    rng = round_stream(seed, t)
+    z = dist.sample_dataset(1, rng)[0].astype(np.float64)
+    o, b = craft(dist, mech, n, z, rng)
+    try:
+        s = float(score(o, z))
+    except Exception as e:
+        e.args = (f"round {t}: {e}",)
+        raise
+    if np.isnan(s):
+        raise NumericalError(f"round {t}: score is NaN")
+    return s, b
 
 
 # ---------------------------------------------------------------------------

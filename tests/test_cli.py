@@ -132,6 +132,14 @@ class TestTheory:
         assert main(["theory", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert stderr_error(capsys)["error"] == "config"
 
+    @pytest.mark.parametrize("key, value", [("mechanism", "noisy"), ("dist", "bernoulli")])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, value):
+        cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, **{key: value}))
+        assert main(["theory", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert re.search(rf"\b{key}\b", msg["message"])
+
     def test_config_hash_matches_simulate_with_threads(self, tmp_path):
         # the worker count is in GAME_CFG but in neither command's hash
         cfg = write_json(tmp_path / "cfg.json", GAME_CFG)
@@ -271,6 +279,20 @@ class TestSimulate:
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
         assert "lr_wishful" in msg["message"]
+
+    @pytest.mark.parametrize("key, raw", [
+        ("mechanism", dict(GAME_CFG, mechanism=5)),
+        ("score_info", dict(GAME_CFG, score_info=5)),
+        ("score_info.refs", dict(GAME_CFG, score="lr_empirical_cov", score_info={"refs": 5})),
+        ("dist", dict(GAME_CFG, dist="bernoulli")),
+        ("config", [GAME_CFG]),
+    ], ids=["mechanism", "score_info", "refs", "dist", "config"])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, raw):
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert re.search(rf"\b{re.escape(key)}\b", msg["message"])
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -424,6 +446,34 @@ class TestWhitebox:
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
         assert re.search(rf"\b{param}\b", msg["message"])
+
+    @pytest.mark.parametrize("key, kw", [
+        ("theta0", {"theta0": 5}),
+        ("target", {"target": 3}),
+        ("data", {"data": 5}),
+        ("data.blobs", {"data": {"blobs": 5}}),
+        ("clip", {"clip": "one"}),
+        ("clip", {"clip": [1.0]}),
+        ("noise", {"clip": 1.0, "noise": "some"}),
+        ("centered", {"centered": "false"}),
+    ], ids=["theta0", "target", "data", "blobs", "clip-word", "clip-list", "noise", "centered"])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, kw):
+        cfg = write_json(tmp_path / "cfg.json", dict(BLOB_CFG, **kw))
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert re.search(rf"\b{re.escape(key)}\b", msg["message"])
+
+    def test_numeric_strings_convert_as_eta_does(self, tmp_path):
+        # clip and noise take float(), as eta does; null still means None
+        outs = []
+        for i, kw in enumerate([{"eta": 0.05, "clip": 1.0, "noise": 0.05},
+                                {"eta": "0.05", "clip": "1.0", "noise": "0.05"}]):
+            cfg = write_json(tmp_path / f"cfg{i}.json", dict(BLOB_CFG, **kw))
+            outs.append(tmp_path / f"o{i}")
+            assert main(["whitebox", "--config", cfg, "-o", str(outs[-1])]) == 0
+        for name in ("scores_covariance.csv", "scores_scalar.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     @pytest.mark.parametrize("spec, pick", [({"index": 5}, 5), ({"rank": "bottom"}, "argmin")])
     def test_target_by_index_or_bottom_rank(self, tmp_path, spec, pick):

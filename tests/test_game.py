@@ -657,6 +657,54 @@ class TestAverageGame:
         gap = abs(float(bits.mean()) - float(ref_bits.mean()))
         assert gap <= 4 * math.sqrt(0.5 / self.ROUNDS), f"{label}: heads rates differ by {gap}"
 
+    @pytest.mark.parametrize("threads", [None, 2])
+    @pytest.mark.parametrize("mech_name", sorted(MECHS))
+    @pytest.mark.parametrize("dist_name", ["bernoulli", "mixed"])
+    def test_equals_per_round_reference(self, dist_name, mech_name, threads, monkeypatch):
+        # the chunked game against oracles.average_round_ref, bit for bit;
+        # chunks of 3 rounds, so 40 rounds span 14 chunks
+        dist = MIXED if dist_name == "mixed" else BERN
+        mech = MECHS[mech_name]
+        if mech_name == "noisy":
+            mech = NoisyMean(mech.gamma[: dist.d])
+        monkeypatch.setattr(game, "_CHUNK_FLOATS", 6 * dist.d)
+        n, T, seed = 10, 40, 410
+        names = ["lr_asymptotic", "scalar_product"] + ["lr_exact_bernoulli"] * dist.all_bernoulli
+        fns = {name: make_score(name, dist=dist, n=n) for name in names}
+        fns["no block"] = lambda o, z: fns["lr_asymptotic"](o, z)
+
+        def outcome(play):
+            # the rounds, or the error: the exact Bernoulli score rejects the
+            # noisy mean's releases outside [0, 1], naming the first such round
+            try:
+                return play()
+            except ValueError as e:
+                return type(e), str(e)
+
+        for name, fn in fns.items():
+            got = outcome(lambda: [(r.score, r.b) for r in run_average_game(
+                dist, mech, n, fn, T=T, seed=seed, threads=threads)])
+            want = outcome(lambda: [oracles.average_round_ref(dist, mech, n, fn, seed, t)
+                                    for t in range(T)])
+            assert got == want, name
+            assert isinstance(got, list) or mech_name == "noisy", name
+
+    @pytest.mark.parametrize("threads", [None, 2])
+    def test_block_less_score_failure_names_its_round(self, threads, monkeypatch):
+        monkeypatch.setattr(game, "_CHUNK_FLOATS", 6 * MIXED.d)
+        seed, bad = 411, 7
+        z_bad = MIXED.sample_dataset(1, round_stream(seed, bad))[0]
+
+        def flaky(o, z):
+            if np.array_equal(z, z_bad):
+                raise ValueError("flaky")
+            return float(o.sum())
+
+        with pytest.raises(ValueError, match=rf"^round {bad}: flaky$"):
+            run_average_game(MIXED, EmpiricalMean(), 10, flaky, T=20, seed=seed, threads=threads)
+        with pytest.raises(ValueError, match=rf"^round {bad}: flaky$"):
+            oracles.average_round_ref(MIXED, EmpiricalMean(), 10, flaky, seed, bad)
+
     def test_detects_membership_of_random_targets(self):
         dist = ProductDistribution.bernoulli_uniform(200, a=0.25, seed=33)
         n = 10

@@ -481,12 +481,21 @@ class TestBlockForms:
         mixed = ProductDistribution.gaussian(rng.normal(size=d), rng.uniform(0.5, 2.0, d))
         zg = rng.normal(size=d)
         Og = rng.normal(size=(40, d)) * 0.3
-        for dist, zz, block in ((bern, z, O), (mixed, zg, Og)):
+        # one target per release: binary rows that keep every count possible
+        Z = (O > 0.5).astype(np.float64)
+        Zg = rng.normal(size=(40, d))
+        for dist, zz, ZZ, block in ((bern, z, Z, O), (mixed, zg, Zg, Og)):
             for name, fn in _bound_scores(dist, n, rng).items():
                 want = [fn(o, zz) for o in block]
                 got = fn.block(block, zz)
                 assert got.shape == (40,), name
                 assert got.tolist() == want, name
+                assert fn.block(block, ZZ).tolist() == [fn(o, zi) for o, zi in zip(block, ZZ)], name
+                if name == "lr_misspecified":
+                    continue  # scores every release against its fixed guess
+                for rows in (1, 39):
+                    with pytest.raises(ValueError):
+                        fn.block(block, ZZ[:rows])
         sentinel = make_score("lr_exact_bernoulli", dist=bern, n=n).block(O, z)
         assert sentinel[7] == -np.inf and np.isfinite(np.delete(sentinel, 7)).all()
 
