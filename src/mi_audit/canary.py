@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._util import ConfigError, as_vector
-from .score import ReferenceEstimates
+from .score import ReferenceEstimates, _as_rows
 
 __all__ = ["estimate_reference", "mahalanobis_score_est", "select_canary"]
 
@@ -65,6 +65,14 @@ def mahalanobis_score_est(x, refs: ReferenceEstimates) -> float:
     return refs.precision_quad(u)
 
 
+def _mahalanobis_rows(X, refs: ReferenceEstimates) -> np.ndarray:
+    """mahalanobis_score_est of each row of a (T, d) block, bit for bit,
+    from one ReferenceEstimates._pairs call."""
+    U = _as_rows(X, refs.d, "candidates") - refs.mu0
+    refs._check_finite(U)
+    return refs._pairs(U, U)[1]
+
+
 def select_canary(candidates, refs: ReferenceEstimates) -> tuple[int, float]:
     """Pick the candidate with the largest estimated Mahalanobis score.
 
@@ -72,10 +80,8 @@ def select_canary(candidates, refs: ReferenceEstimates) -> tuple[int, float]:
     canary.
 
     Raises:
-      ValueError: empty candidate list.
+      ValueError: no candidates, or a candidate that is not a length-d vector.
     """
-    scores = [mahalanobis_score_est(x, refs) for x in candidates]
-    if not scores:
-        raise ValueError("need at least one candidate")
+    scores = _mahalanobis_rows(list(candidates), refs)
     best = int(np.argmax(scores))
-    return best, scores[best]
+    return best, float(scores[best])

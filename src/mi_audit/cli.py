@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from ._util import ConfigError, NumericalError, json_object
-from .canary import estimate_reference, mahalanobis_score_est
+from .canary import _mahalanobis_rows, estimate_reference
 from .dist import ProductDistribution, target_from_spec
 from .game import GameConfig, _advantage, _play_fixed_game, _roc
 from .mech import mechanism_from_spec
@@ -247,7 +247,7 @@ def cmd_canary(args) -> int:
     refs = estimate_reference(
         refs_matrix, cov_mode=args.cov_mode, ridge=args.ridge, centered=args.centered
     )
-    scores = [mahalanobis_score_est(x, refs) for x in cands]
+    scores = _mahalanobis_rows(cands, refs).tolist()
     order = sorted(range(len(scores)), key=lambda i: (-scores[i], i))
 
     params = {
@@ -371,7 +371,7 @@ def cmd_whitebox(args) -> int:
 
     grads = reference_gradients(model, X, y)
     pool_refs = fit_refs(grads)
-    maha = np.array([mahalanobis_score_est(g, pool_refs) for g in grads])
+    maha = _mahalanobis_rows(grads, pool_refs)
 
     target_spec = json_object(cfg.get("target", {"rank": "top"}), "target")
     if "index" in target_spec:

@@ -14,12 +14,12 @@ its randomness from a counter-based stream keyed by (s, t). Rounds are
 therefore independent of execution order and thread count, and a fixed seed
 yields bit-identical transcripts everywhere.
 
-Both games play their rounds in chunks. A chunk makes the draws of its
-rounds one round at a time, each on that round's own (s, t) stream, then
-finishes, scores and keeps the whole chunk, and in the average game its
-targets, as arrays. Chunks group the arithmetic, never the randomness:
-every element is computed as the one-round path computes it, so neither
-the chunk size nor the worker count changes a bit of a transcript or a score.
+Every game, white-box ones too, plays its rounds in chunks. A chunk makes
+the draws of its rounds one round at a time, each on that round's own
+(s, t) stream, then computes on arrays with no generator in hand: it
+finishes, scores and keeps the whole chunk. Chunks group the arithmetic,
+never the randomness: every element is computed as the one-round path
+computes it, so neither the chunk size nor the worker count changes a bit.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from ._util import ConfigError, NumericalError, as_vector, json_object
 from .dist import ProductDistribution, target_from_spec
-from .mech import mechanism_from_spec
+from .mech import NoisyMean, mechanism_from_spec
 from .score import SCORE_NAMES, make_score
 
 __all__ = [
@@ -122,6 +122,10 @@ class GameConfig:
             raise ConfigError(
                 f"unknown score {self.score_name!r}; expected one of {', '.join(SCORE_NAMES)}"
             )
+        if (self.score_name == "lr_exact_bernoulli" and isinstance(self.mech, NoisyMean)
+                and np.any(self.mech.gamma > 0)):
+            raise ConfigError("lr_exact_bernoulli needs releases in [0, 1]; a NoisyMean "
+                              "with gamma > 0 releases means outside them")
 
     @classmethod
     def from_dict(cls, obj: dict) -> "GameConfig":
@@ -214,29 +218,25 @@ _PHILOX_ZEROS = (0, 0, 0, 0)
 
 
 def _round_streams(master_seed: int):
-    """A callable (t, slot=0) -> generator that draws exactly what
+    """A callable t -> generator that draws exactly what
     round_stream(master_seed, t) draws.
 
-    Each thread keeps one Philox generator per slot and rekeys it for every
-    round: key (master_seed, t), counter 0, an empty buffer and no 32-bit
-    half left over, the state a freshly keyed Philox starts from. That costs
-    a fraction of a new generator, whose constructor also seeds itself from
+    Each thread keeps one Philox generator and rekeys it for every round:
+    key (master_seed, t), counter 0, an empty buffer and no 32-bit half
+    left over, the state a freshly keyed Philox starts from. That costs a
+    fraction of a new generator, whose constructor also seeds itself from
     os.urandom before the key replaces the seed; the state is given as
     plain integers, which the setter reads faster than arrays. A generator
-    is valid until the same thread asks for its slot's next round. A caller
-    that holds several rounds' generators at once, as a chunk of white-box
-    reps does, gives each its own slot, numbered from 0 in the order first
-    asked for; a game that draws one round at a time uses slot 0.
+    is valid until the same thread asks for the next round, so every game
+    makes all of a round's draws before it asks for the next one.
     """
     local = threading.local()
 
-    def stream(t: int, slot: int = 0) -> np.random.Generator:
-        try:
-            gen = local.gens[slot]
-        except (AttributeError, IndexError):
-            gens = local.__dict__.setdefault("gens", [])
-            gens.append(round_stream(master_seed, t))
-            return gens[slot]
+    def stream(t: int) -> np.random.Generator:
+        gen = getattr(local, "gen", None)
+        if gen is None:
+            local.gen = round_stream(master_seed, t)
+            return local.gen
         gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": _PHILOX_ZEROS, "key": (master_seed, t)},
@@ -352,16 +352,8 @@ def run_crafter(
         raise ValueError("rounds must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
-    zv = as_vector(z, dist.d, "z")
     outputs = np.empty((rounds, dist.d), dtype=np.float64)
-    bits = np.empty(rounds, dtype=np.uint8)
-    stream = _round_streams(master_seed)
-
-    def chunk(lo: int, hi: int) -> None:
-        rngs = map(stream, range(lo, hi))
-        bits[lo:hi] = _craft_rounds(dist, mech, n, zv, rngs, outputs[lo:hi])
-
-    _map_chunks(chunk, rounds, _chunk_len(rounds, dist.d, threads, _CHUNK_FLOATS), threads)
+    _, bits = _play(dist, mech, n, z, None, rounds, master_seed, threads, outputs)
     bits.flags.writeable = False
     outputs.flags.writeable = False
     return CrafterTranscript(outputs=outputs, bits=bits)
@@ -419,15 +411,17 @@ def score_transcript(transcript: CrafterTranscript, score_fn, z) -> list[ScoredR
     return _scored_rounds(np.concatenate(scores), transcript.bits)
 
 
-def _play(dist, mech, n: int, z, score_fn, rounds: int, seed: int,
-          threads: int | None) -> tuple[np.ndarray, np.ndarray]:
+def _play(dist, mech, n: int, z, score_fn, rounds: int, seed: int, threads: int | None,
+          outputs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(scores, bits) of ``rounds`` rounds against the target ``z``, or,
     with ``z`` None, against a target each round draws.
 
     Each chunk of rounds is crafted and scored in turn, and only its scores
     and bits are kept, so a game holds one chunk of releases per worker
     whatever its round count. The values are those of crafting and scoring
-    one round at a time.
+    one round at a time. run_crafter passes ``score_fn`` None, which
+    leaves the scores unset, and a (rounds, d) ``outputs`` that keeps every
+    release.
     """
     d = dist.d
     zv = None if z is None else as_vector(z, d, "z")
@@ -436,10 +430,11 @@ def _play(dist, mech, n: int, z, score_fn, rounds: int, seed: int,
     stream = _round_streams(seed)
 
     def chunk(lo: int, hi: int) -> None:
-        out = np.empty((hi - lo, d), dtype=np.float64)
+        out = np.empty((hi - lo, d), dtype=np.float64) if outputs is None else outputs[lo:hi]
         Z = np.empty_like(out) if zv is None else zv
         bits[lo:hi] = _craft_rounds(dist, mech, n, Z, map(stream, range(lo, hi)), out)
-        scores[lo:hi] = _score_rows(score_fn, out, Z, lo)
+        if score_fn is not None:
+            scores[lo:hi] = _score_rows(score_fn, out, Z, lo)
 
     # an average-game chunk holds two (T, d) blocks: releases and targets
     size = _chunk_len(rounds, d if zv is not None else 2 * d, threads, _CHUNK_FLOATS)

@@ -14,8 +14,9 @@ case, feed the same precision-weighted forms and the same LR score.
 
 Every Mahalanobis form has one kernel, ``ReferenceEstimates._pairs``, the
 terms (u^T P v, u^T P u) of paired rows or of one u against a block:
-``precision_pair``, ``precision_quad``, the LR score of one release or of a
-block, and each step of the white-box covariance attack, bit for bit alike.
+``precision_pair``, ``precision_quad``, a canary pool's ranking and the LR
+score, bit for bit alike. Each score is one block kernel, whose one-row
+case scores one release and whose rows score the white-box attack steps.
 """
 
 from __future__ import annotations
@@ -272,7 +273,12 @@ def scalar_product(mu_hat, z, z_ref) -> float:
     zv = as_vector(z, name="z")
     ref = as_vector(z_ref, zv.shape[0], "z_ref")
     v = as_vector(mu_hat, zv.shape[0], "mu_hat")
-    return float(np.dot(zv - ref, v))
+    return float(_scalar(v, zv, ref))
+
+
+def _scalar(mu_hat: np.ndarray, z, ref):
+    # scalar_product of a release (d,) or of each row of a block (T, d)
+    return np.vecdot(_targets(z, mu_hat, mu_hat.shape[-1]) - ref, mu_hat)
 
 
 def _as_rows(x, d: int, name: str) -> np.ndarray:
@@ -329,11 +335,10 @@ def lr_subsampled(mu_hat_sub, z, om: OracleMoments, rho: float, n: int) -> float
 
 
 def _subsample_size(rho: float, n: int) -> int:
-    if n < 1:
-        raise ValueError("n must be >= 1")
     k = subsample_count(rho, n)
     if k < 2:
-        raise ValueError(f"subsample size must be >= 2, got k={k} from rho={rho}, n={n}")
+        raise ConfigError(f"lr_subsampled needs a subsample of >= 2 rows, got k={k} from "
+                          f"rho={rho}, n={n}")
     return k
 
 
@@ -385,10 +390,10 @@ def make_score(
     """Bind side information to a named score and return a callable
     ``score(o, z) -> float``.
 
-    The callable also carries ``score.block(O, z)``, its values on every
-    row of a (T, d) block of releases as a length-T array, bit for bit
-    those of one call per row, with one target z for every row or a (T, d)
-    block of one per row; the game loops score through it.
+    The callable carries the score's one block kernel, ``score.block(O,
+    z)``: its values on every row of a (T, d) block of releases, with one
+    target z for every row or a (T, d) block of one per row. One release
+    is scored as a one-row block, so it gets the bits it gets in a block.
 
     Defaults are resolved from the distribution and, where it makes sense,
     from the mechanism: lr_noisy takes gamma from a NoisyMean mechanism,
@@ -398,7 +403,8 @@ def make_score(
     true target.
 
     Raises:
-      ConfigError: unknown name or missing side information.
+      ConfigError: unknown name, missing side information, or an
+        lr_subsampled k = round(rho * n) below 2.
     """
     if name not in SCORE_NAMES:
         raise ConfigError(f"unknown score {name!r}; expected one of {', '.join(SCORE_NAMES)}")
@@ -411,56 +417,42 @@ def make_score(
     if name == "lr_exact_bernoulli":
         if not dist.all_bernoulli:
             raise ConfigError("lr_exact_bernoulli needs a distribution of Bernoulli columns")
-        return _bound(lambda o, z: lr_exact_bernoulli(o, z, mu),
-                      lambda O, z: _exact_bernoulli(_as_rows(O, dist.d, "mu_hat"), z, mu))
+        return _bound(dist.d, lambda O, z: _exact_bernoulli(O, z, mu))
     if name == "lr_asymptotic":
-        return _bound_lr(om, n)
+        return _bound(dist.d, lambda O, z: _lr(O, z, om, n))
     if name == "lr_empirical_cov":
         if refs is None:
             raise ConfigError("lr_empirical_cov needs reference estimates")
-        return _bound_lr(refs, n)
+        return _bound(dist.d, lambda O, z: _lr(O, z, refs, n))
     if name == "scalar_product":
         ref = mu if z_ref is None else as_vector(z_ref, dist.d, "z_ref")
-
-        def scalar_rows(O, z):
-            # np.vecdot takes np.dot's routine for each row, as scalar_product does
-            O = _as_rows(O, dist.d, "mu_hat")
-            return np.vecdot(_targets(z, O, dist.d) - ref, O)
-
-        return _bound(lambda o, z: scalar_product(o, z, ref), scalar_rows)
+        return _bound(dist.d, lambda O, z: _scalar(O, z, ref))
     if name == "lr_noisy":
         if gamma is None and isinstance(mech, NoisyMean):
             gamma = mech.gamma
         if gamma is None:
             raise ConfigError("lr_noisy needs gamma (or a NoisyMean mechanism)")
-        return _bound_lr(_noise_inflated(om, gamma), n)
+        noisy = _noise_inflated(om, gamma)
+        return _bound(dist.d, lambda O, z: _lr(O, z, noisy, n))
     if name == "lr_subsampled":
         if rho is None and isinstance(mech, SubsampledMean):
             rho = mech.rho
         if rho is None:
             raise ConfigError("lr_subsampled needs rho (or a SubsampledMean mechanism)")
         r = float(rho)
-        return _bound(
-            lambda o, z: lr_subsampled(o, z, om, r, n),
-            lambda O, z: _subsampled(_as_rows(O, om.d, "mu_hat_sub"), z, om, r,
-                                     _subsample_size(r, n)),
-        )
+        k = _subsample_size(r, n)
+        return _bound(dist.d, lambda O, z: _subsampled(O, z, om, r, k))
     # lr_misspecified
     if z_targ is None:
         raise ConfigError("lr_misspecified needs the guessed target z_targ")
-    return _bound_lr(om, n, guess=as_vector(z_targ, dist.d, "z_targ"))
+    guess = as_vector(z_targ, dist.d, "z_targ")
+    return _bound(dist.d, lambda O, z: _lr(O, guess, om, n))
 
 
-def _bound(score, block):
-    # a bound score, carrying its block form
-    score.block = block
+def _bound(d: int, kernel):
+    # a bound score: kernel(O, z) of a (T, d) block, and of one release as a row
+    def score(o, z) -> float:
+        return float(kernel(as_vector(o, d, "mu_hat")[None], z)[0])
+
+    score.block = lambda O, z: kernel(_as_rows(O, d, "mu_hat"), z)
     return score
-
-
-def _bound_lr(refs: ReferenceEstimates, n: int, guess=None):
-    # lr_empirical_cov on refs, against each round's target or a fixed guess
-    def target(z):
-        return z if guess is None else guess
-
-    return _bound(lambda o, z: lr_empirical_cov(o, target(z), refs, n),
-                  lambda O, z: _lr(_as_rows(O, refs.d, "mu_hat"), target(z), refs, n))

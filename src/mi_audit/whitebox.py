@@ -6,7 +6,8 @@ theta_{t+1} recovers the applied batch gradient, which is an empirical mean
 of per-example gradients. Membership of a target example in the batch then
 becomes a mean-inclusion question, and the same covariance and scalar
 scores used against released means apply step by step, summed over an
-epoch.
+epoch, through the same score kernels. A run draws its shuffles and noise
+before it trains, so the SGD loop holds no generator.
 
 Models here are deliberately tiny and carry analytic gradients so the whole
 harness stays dependency-free and every gradient is checkable against
@@ -22,7 +23,7 @@ import numpy as np
 from ._util import ConfigError, as_vector
 from .game import (_CHUNK_FLOATS, ScoredRound, _chunk_len, _map_chunks, _round_streams,
                    _scored_rounds)
-from .score import ReferenceEstimates
+from .score import ReferenceEstimates, _lr, _scalar
 
 __all__ = [
     "ToyModel",
@@ -254,14 +255,16 @@ def train_sgd(
     without checks.
     """
     X, labels = _check_sgd(model, data, eta, batch_size, epochs, clip, noise)
-    thetas, schedule = _sgd(model, X, labels, [np.random.default_rng(seed)], eta, batch_size,
-                            epochs, clip, noise)
+    schedule, normals = _draws(np.random.default_rng(seed), X.shape[0], batch_size, epochs,
+                               model.d_p, noise)
+    thetas = _sgd(model, X, labels, schedule[None], None if normals is None else normals[None],
+                  eta, clip, noise)
     return TrainTrace(
         model=ToyModel(model.arch, model.f, model.c, model.theta.copy()),
         thetas=thetas[0],
         eta=float(eta),
         batch_size=int(batch_size),
-        batch_schedule=schedule[0],
+        batch_schedule=schedule,
     )
 
 
@@ -291,46 +294,52 @@ def _check_sgd(model: ToyModel, data, eta, batch_size, epochs, clip, noise):
     return X, labels
 
 
-def _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise, swap=None, target=None):
-    """train_sgd's loop for len(rngs) runs at once, on checked rows.
-
-    Run r shuffles with, and draws its noise from, rngs[r], in the order a
-    single run draws them. Where swap[r] >= 0, run r trains on the rows with
-    row swap[r] replaced by ``target``, a (features, checked label) pair;
-    each step patches the gathered batch instead of copying X per run.
-    Returns every iterate, (R, steps + 1, d_p), and the batch schedule,
-    (R, steps, batch_size). Every step's gradients, clipping and means are
-    taken over the stack with the per-run operation order, so run r's
-    iterates equal, bit for bit, those of the same run made alone.
-    """
-    runs, n = len(rngs), X.shape[0]
+def _draws(rng, n: int, batch_size: int, epochs: int, d_p: int, noise):
+    """One run's batch schedule, (steps, batch_size), and its normals,
+    (steps, d_p), or None without noise, drawn in train_sgd's order: for
+    each epoch a permutation of the rows, then one normal per step and
+    parameter."""
     per_epoch = n // batch_size
-    steps = epochs * per_epoch
+    perms, normals = [], []
+    for _ in range(epochs):
+        perms.append(rng.permutation(n)[: per_epoch * batch_size])
+        if noise:
+            normals.append(rng.standard_normal((per_epoch, d_p)))
+    schedule = np.concatenate(perms).reshape(-1, batch_size)
+    return schedule, (np.concatenate(normals) if noise else None)
+
+
+def _sgd(model, X, labels, schedule, normals, eta, clip, noise, swap=None, target=None):
+    """train_sgd's loop for R runs at once, on checked rows and the runs'
+    stacked _draws: schedule (R, steps, batch_size) and normals (R, steps,
+    d_p) or None. Where swap[r] >= 0, run r trains with row swap[r]
+    replaced by ``target``, a (features, checked label) pair, patched into
+    each gathered batch instead of a copy of X per run. Returns every
+    iterate, (R, steps + 1, d_p). Each step keeps the per-run operation
+    order, so run r's iterates equal, bit for bit, those of a run alone.
+    """
+    runs, steps, batch_size = schedule.shape
     thetas = np.empty((runs, steps + 1, model.d_p))
-    schedule = np.empty((runs, steps, batch_size), dtype=np.intp)
     theta = np.repeat(model.theta[None, :], runs, axis=0)
     thetas[:, 0] = theta
-    for e in range(epochs):
-        perms = np.array([rng.permutation(n) for rng in rngs])[:, : per_epoch * batch_size]
-        schedule[:, e * per_epoch : (e + 1) * per_epoch] = perms.reshape(runs, per_epoch, -1)
-        for k in range(e * per_epoch, (e + 1) * per_epoch):
-            batch = schedule[:, k]
-            X_b, y_b = np.take(X, batch, axis=0), np.take(labels, batch)
-            if swap is not None:
-                hit = batch == swap[:, None]
-                X_b[hit] = target[0]
-                y_b[hit] = target[1]
-            grads = model._grads(X_b, y_b, theta)
-            if clip is not None and np.isfinite(clip):
-                norms = np.linalg.norm(grads, axis=-1)
-                grads *= np.minimum(1.0, clip / np.maximum(norms, 1e-300))[..., None]
-            # the rows in order, as mean(axis=-2) adds them in (R, m, d_p)
-            g = np.add.reduce(grads, axis=0) / batch_size
-            if noise:
-                g = g + np.array([rng.standard_normal(model.d_p) for rng in rngs]) * (noise * clip)
-            theta = theta - eta * g
-            thetas[:, k + 1] = theta
-    return thetas, schedule
+    for k in range(steps):
+        batch = schedule[:, k]
+        X_b, y_b = np.take(X, batch, axis=0), np.take(labels, batch)
+        if swap is not None:
+            hit = batch == swap[:, None]
+            X_b[hit] = target[0]
+            y_b[hit] = target[1]
+        grads = model._grads(X_b, y_b, theta)
+        if clip is not None and np.isfinite(clip):
+            norms = np.linalg.norm(grads, axis=-1)
+            grads *= np.minimum(1.0, clip / np.maximum(norms, 1e-300))[..., None]
+        # the rows in order, as mean(axis=-2) adds them in (R, m, d_p)
+        g = np.add.reduce(grads, axis=0) / batch_size
+        if noise:
+            g = g + normals[:, k] * (noise * clip)
+        theta = theta - eta * g
+        thetas[:, k + 1] = theta
+    return thetas
 
 
 def reference_gradients(model: ToyModel, X, y, theta=None) -> np.ndarray:
@@ -397,9 +406,10 @@ def _score_traces(thetas: np.ndarray, g_stars: np.ndarray, eta: float, batch_siz
     after its checks, given every trace's iterates, (R, steps + 1, d_p), and
     the target's gradient at each pre-step iterate, (R * steps, d_p).
 
-    The batch gradients of the whole stack are reconstructed, sliced,
-    centered and checked for finiteness at once, and one
-    ReferenceEstimates._pairs call gives every step's covariance terms.
+    The batch gradients of the whole stack are reconstructed and sliced at
+    once, and each is scored as a release of batch_size gradients against
+    its target gradient, all in one call of score._lr (covariance) or
+    score._scalar with a zero reference (scalar).
     Each trace's per-step scores are then added in step order, starting
     from 0.0, as a loop over its steps adds them: np.sum adds 8 or more
     terms pairwise, and a cumsum starts from the first term, so a sum of
@@ -412,14 +422,9 @@ def _score_traces(thetas: np.ndarray, g_stars: np.ndarray, eta: float, batch_siz
     scores = np.empty((R, len(attacks)))
     for j, attack in enumerate(attacks):
         if attack == "scalar":
-            # np.vecdot takes np.dot's routine for each pair of rows
-            steps = np.vecdot(g_stars, g_batches)
+            steps = _scalar(g_batches, g_stars, 0.0)
         else:
-            # lr_empirical_cov of each step, its checks made once for the stack
-            U, V = g_stars - refs.mu0, g_batches - refs.mu0
-            refs._check_finite(U, V)
-            cross, quad = refs._pairs(U, V)
-            steps = cross - quad / (2.0 * batch_size)
+            steps = _lr(g_batches, g_stars, refs, batch_size)
         steps = steps.reshape(R, S)
         total = np.zeros(R)
         for t in range(S):
@@ -471,11 +476,9 @@ def _play_reps(model, X, y, target_example, refs, attacks, sl, *, eta, batch_siz
     every attack in ``attacks`` on the parameter slice ``sl``, both checked
     by the caller: (scores (reps, len(attacks)), bits (reps,)) arrays.
 
-    Rep r draws its coin, and on heads the row the target replaces, from
-    round_stream(master_seed, r), then trains on that stream: the i-th rep
-    of a chunk takes slot i of game._round_streams, rekeyed to
-    (master_seed, r), which draws the same as a new stream at a fraction of
-    its cost. The reps are split into chunks by the games' one rule
+    Rep r draws its coin, on heads the row the target replaces, then its
+    _draws, all on round_stream(master_seed, r), before the next rep's
+    stream is keyed. The reps are split into chunks by the games' one rule
     (game._chunk_len), at least one per worker and each within
     _CHUNK_FLOATS of per-example gradients, the largest per-step buffer of
     _sgd; one _sgd call trains a chunk, one _grad_path call takes the
@@ -512,13 +515,16 @@ def _play_reps(model, X, y, target_example, refs, attacks, sl, *, eta, batch_siz
     bits = np.empty(reps, dtype=np.uint8)
 
     def chunk(lo: int, hi: int) -> None:
-        rngs = [stream(r, slot) for slot, r in enumerate(range(lo, hi))]
-        coins = [int(rng.integers(0, 2)) for rng in rngs]
-        swap = np.array([int(rng.integers(0, n)) if b else -1 for rng, b in zip(rngs, coins)])
-        thetas, _ = _sgd(model, X, labels, rngs, eta, batch_size, epochs, clip, noise,
-                         swap if any(coins) else None, (x_t, label_t))
+        swap, draws = np.empty(hi - lo, dtype=np.intp), []
+        for i, r in enumerate(range(lo, hi)):
+            rng = stream(r)
+            swap[i] = rng.integers(0, n) if rng.integers(0, 2) else -1
+            draws.append(_draws(rng, n, batch_size, epochs, model.d_p, noise))
+        schedules, normals = zip(*draws)
+        thetas = _sgd(model, X, labels, np.stack(schedules), np.stack(normals) if noise else None,
+                      eta, clip, noise, swap if np.any(swap >= 0) else None, (x_t, label_t))
         g_stars = model._grad_path(x_t, label_t, thetas[:, :-1].reshape(-1, model.d_p))
-        bits[lo:hi] = coins
+        bits[lo:hi] = swap >= 0
         scores[lo:hi] = _score_traces(thetas, g_stars, float(eta), int(batch_size), refs,
                                       attacks, sl)
 

@@ -11,6 +11,7 @@ from mi_audit import (
     mahalanobis_score_est,
     select_canary,
 )
+from mi_audit import canary
 
 
 @pytest.fixture
@@ -95,6 +96,12 @@ class TestSelectCanary:
                 )
                 assert idx == want_idx
                 assert score == pytest.approx(want_score, rel=1e-10)
+                # the whole pool in one pair-kernel call, bit for bit each row's score
+                rows = canary._mahalanobis_rows(cands, refs)
+                assert rows.tolist() == [mahalanobis_score_est(x, refs) for x in cands]
+            for bad in (cands[0], cands[:, :6]):
+                with pytest.raises(ValueError):
+                    canary._mahalanobis_rows(bad, refs)
 
     def test_far_candidate_wins(self, ref_rows):
         refs = estimate_reference(ref_rows)
@@ -102,6 +109,7 @@ class TestSelectCanary:
         idx, score = select_canary(cands, refs)
         assert idx == 1
         assert score == mahalanobis_score_est(cands[1], refs)
+        assert select_canary((x for x in cands), refs) == (idx, score)
 
     def test_ties_resolve_to_lowest_index(self, ref_rows):
         refs = estimate_reference(ref_rows)

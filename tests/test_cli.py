@@ -250,6 +250,30 @@ class TestSimulate:
             assert (out / "rounds.csv").read_text() == want_rounds
             assert (out / "roc.csv").read_text() == want_roc
 
+    @pytest.mark.parametrize("mechanism, score, names", [
+        ({"mechanism": "noisy_mean", "gamma_scalar": 0.6}, "lr_exact_bernoulli",
+         ("lr_exact_bernoulli", "NoisyMean")),
+        ({"mechanism": "subsampled_mean", "rho": 0.01}, "lr_subsampled",
+         ("lr_subsampled", "subsample of >= 2 rows")),
+    ])
+    def test_unscorable_pairing_exits_2_before_crafting(self, tmp_path, capsys, monkeypatch,
+                                                        mechanism, score, names):
+        from mi_audit import game
+
+        crafted = []
+        monkeypatch.setattr(game, "_craft_rounds", lambda *args: crafted.append(1))
+        raw = dict(GAME_CFG, dist={"law": "bernoulli_uniform", "d": 40, "a": 0.25, "seed": 31},
+                   n=100, mechanism=mechanism, score=score)
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "-o", str(out)]) == 2
+        err = stderr_error(capsys)
+        assert err["error"] == "config"
+        assert all(name in err["message"] for name in names), err["message"]
+        assert not err["message"].startswith("round")
+        assert crafted == []
+        assert not (out / "rounds.csv").exists()
+
     def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
         cfg = write_json(tmp_path / "cfg.json", GAME_CFG)
         monkeypatch.setenv("MI_AUDIT_THREADS", "many")
@@ -399,9 +423,9 @@ class TestWhitebox:
         runs = []
         real = whitebox._sgd
 
-        def counting(model, X, labels, rngs, *args):
-            runs.append(len(rngs))  # one SGD run per generator
-            return real(model, X, labels, rngs, *args)
+        def counting(model, X, labels, schedules, *args):
+            runs.append(len(schedules))  # one SGD run per batch schedule
+            return real(model, X, labels, schedules, *args)
 
         monkeypatch.setattr(whitebox, "_sgd", counting)
         cfg = write_json(tmp_path / "cfg.json", BLOB_CFG)

@@ -86,31 +86,6 @@ class TestRoundStream:
         assert any(half == 1 for half, _ in left)
         assert any(pos < 4 for _, pos in left)
 
-    def test_rekeyed_slots_draw_what_new_streams_draw(self):
-        # a chunk of white-box reps holds one generator per slot at once and
-        # interleaves their draws; each earlier chunk leaves its slots in
-        # other states, and a last, shorter chunk uses only the first slots
-        stream = game._round_streams(5)
-        left = []
-        for lo, hi in ((0, 3), (3, 6), (6, 8)):
-            gens = [stream(r, slot) for slot, r in enumerate(range(lo, hi))]
-            wants = [round_stream(5, r) for r in range(lo, hi)]
-            assert len({id(g) for g in gens}) == hi - lo
-            for got, want in zip(gens, wants):
-                assert got.integers(0, 2) == want.integers(0, 2)
-                assert got.integers(0, 40) == want.integers(0, 40)
-            for got, want in zip(gens, wants):
-                assert np.array_equal(got.permutation(40), want.permutation(40))
-            for got, want in zip(gens, wants):
-                assert np.array_equal(got.standard_normal(5), want.standard_normal(5))
-            for slot, got in enumerate(gens):
-                got.integers(0, 2**32, size=slot + 1, dtype=np.uint32)
-                got.random(slot)
-                state = got.bit_generator.state
-                left.append((state["has_uint32"], state["buffer_pos"]))
-        assert any(half == 1 for half, _ in left)
-        assert any(pos < 4 for _, pos in left)
-
 
 class TestCraft:
     def test_single_row_member_release_equals_target(self, tiny_dist):
@@ -625,6 +600,19 @@ class TestGameConfig:
                 z=np.ones(6),
                 score_name="lr_made_up",
             )
+
+    def test_exact_bernoulli_rejects_a_noisy_release(self, tiny_dist):
+        # a noisy release leaves [0, 1], so the game fails before any round
+        for gamma in (0.6, [0.0] * 5 + [0.3]):
+            with pytest.raises(ConfigError, match="lr_exact_bernoulli.*NoisyMean"):
+                GameConfig(dist=tiny_dist, mech=NoisyMean(gamma), n=10, z=np.ones(6),
+                           score_name="lr_exact_bernoulli")
+        for mech in (NoisyMean(0.0), EmpiricalMean(), SubsampledMean(0.5)):
+            GameConfig(dist=tiny_dist, mech=mech, n=10, z=np.ones(6),
+                       score_name="lr_exact_bernoulli")
+        # make_score only takes defaults from mech, so it binds the pair
+        fn = make_score("lr_exact_bernoulli", dist=tiny_dist, n=10, mech=NoisyMean(0.6))
+        assert np.isfinite(fn(np.full(6, 0.5), np.ones(6)))
 
 
 class TestAverageGame:

@@ -437,6 +437,24 @@ class TestScoreFactory:
         with pytest.raises(ConfigError, match="Bernoulli"):
             make_score("lr_exact_bernoulli", dist=mixed, n=5)
 
+    def test_subsample_size_is_checked_once_when_bound(self, small_dist, monkeypatch):
+        for kw in ({"rho": 0.01}, {"mech": SubsampledMean(0.01)}, {"rho": 0.12}):
+            with pytest.raises(ConfigError, match="^lr_subsampled needs a subsample of >= 2 rows"):
+                make_score("lr_subsampled", dist=small_dist, n=10, **kw)
+        sizes = []
+        real = score._subsample_size
+
+        def counting(rho, n):
+            sizes.append((rho, n))
+            return real(rho, n)
+
+        monkeypatch.setattr(score, "_subsample_size", counting)
+        fn = make_score("lr_subsampled", dist=small_dist, n=10, rho=0.2)
+        O = np.full((5, small_dist.d), 0.5)
+        fn.block(O, np.ones(small_dist.d))
+        fn(O[0], np.ones(small_dist.d))
+        assert sizes == [(0.2, 10)]
+
     def test_missing_side_information_rejected(self, small_dist):
         with pytest.raises(ConfigError):
             make_score("lr_empirical_cov", dist=small_dist, n=5)

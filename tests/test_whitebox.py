@@ -423,6 +423,8 @@ EXACT_CASES = {
     "logistic-c3-eta0": ("logistic", 3, {"eta": 0.0}, None),
     "linear-two-epochs": ("linear", 1, {"epochs": 2}, None),
     "logistic-c3-two-epochs": ("logistic", 3, {"epochs": 2}, None),
+    "logistic-c3-two-epochs-clip-noise": ("logistic", 3, {"epochs": 2, "clip": 1.0, "noise": 0.5},
+                                          None),
     # from 8 classes on, the exponentials of the log-sum-exp are summed
     # pairwise from a contiguous copy; below 8 they are folded class by class
     "logistic-c7-two-epochs": ("logistic", 7, {"epochs": 2}, None),
@@ -488,9 +490,9 @@ class TestStackedGameAgainstPerRepCode:
         runs = []
         real = whitebox._sgd
 
-        def recording(model, X, labels, rngs, *args):
-            runs.append(len(rngs))
-            return real(model, X, labels, rngs, *args)
+        def recording(model, X, labels, schedules, *args):
+            runs.append(len(schedules))
+            return real(model, X, labels, schedules, *args)
 
         monkeypatch.setattr(whitebox, "_sgd", recording)
         for per_chunk in (1, 3, reps):
