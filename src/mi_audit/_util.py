@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ConfigError", "NumericalError", "as_vector", "json_object"]
+__all__ = ["ConfigError", "NumericalError", "as_vector", "config_value"]
 
 
 class ConfigError(ValueError):
@@ -41,9 +41,39 @@ def as_vector(x, d: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
-def json_object(value, key: str) -> dict:
-    """``value`` if it is a dict, the form a JSON object is parsed to;
-    otherwise a ConfigError that names the config ``key``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
-    return value
+_REQUIRED = object()
+_KINDS = {dict: "a JSON object", list: "a JSON list", bool: "true or false",
+          int: "an integer", float: "a number", str: "a string"}
+
+
+def config_value(obj, key, kind: type, default=_REQUIRED, where: str = ""):
+    """The value of ``obj[key]`` from a parsed JSON config, as ``kind``.
+
+    ``obj`` is a JSON object, or a JSON list that ``key`` indexes. ``dict``,
+    ``list`` and ``bool`` values must be that JSON type, and ``object``
+    takes any value for the caller to check; ``int``, ``float`` and ``str``
+    convert a JSON number or string as those builtins do, so ``"0.5"``
+    reads as 0.5. A missing key gives ``default``, and so does null when
+    ``default`` is None; a missing key with no default is a ConfigError.
+    Any other value is a ConfigError that names the dotted key
+    ``where.key``.
+    """
+    name = f"{where}.{key}" if where else str(key)
+    try:
+        value = obj[key]
+    except KeyError:
+        if default is _REQUIRED:
+            raise ConfigError(f"config missing key {name!r}") from None
+        return default
+    if value is None and default is None:
+        return None
+    if kind in (dict, list, bool, object):
+        if isinstance(value, kind):
+            return value
+    elif not isinstance(value, (bool, dict, list, type(None))):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    null = " or null" if default is None else ""
+    raise ConfigError(f"{name} must be {_KINDS[kind]}{null}, got {value!r}")

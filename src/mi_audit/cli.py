@@ -2,7 +2,10 @@
 
 Subcommands: theory, simulate, canary, whitebox, report. Structured input
 arrives as JSON config files; a few scalar flags (rounds, seed, threads)
-override config values. Outputs are CSV, JSON, and SVG files under an
+override config values, and with no --threads the config's threads key, if
+any, sets the worker count. Every config value is read through
+config_value, so a missing key or a value of the wrong type is a config
+error that names the dotted key. Outputs are CSV, JSON, and SVG files under an
 explicit output directory. Every run is a pure function of its inputs and
 seed: floats are serialized with 17 significant digits and re-runs are
 byte-identical.
@@ -23,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import ConfigError, NumericalError, json_object
+from ._util import ConfigError, NumericalError, config_value
 from .canary import _mahalanobis_rows, estimate_reference
 from .dist import ProductDistribution, target_from_spec
 from .game import GameConfig, _advantage, _play_fixed_game, _roc
@@ -44,7 +47,7 @@ from .whitebox import (
     reference_gradients,
 )
 
-_THREADS_HELP = "worker threads (env MI_AUDIT_THREADS); none runs serially"
+_THREADS_HELP = "worker threads, in place of the config's threads; none runs serially"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
@@ -61,7 +64,7 @@ def _file_digest(path: str) -> str:
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json_object(json.load(f), f"config {path}")
+            return config_value({"config": json.load(f)}, "config", dict)
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
 
@@ -98,17 +101,10 @@ def _load_curve_csv(path: str) -> np.ndarray:
         raise ConfigError(f"{path}: {e}") from e
 
 
-def _threads(args, cfg: dict):
-    # --threads, then MI_AUDIT_THREADS, then the config's own value
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("MI_AUDIT_THREADS")
-    if env:
-        try:
-            return int(env)
-        except ValueError as e:
-            raise ConfigError(f"MI_AUDIT_THREADS must be an integer, got {env!r}") from e
-    return cfg.get("threads")
+def _override(cfg: dict, args, *keys) -> dict:
+    # the flags given, --threads among them, in place of the config's values
+    cfg.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
+    return cfg
 
 
 def _run_hash(cfg: dict) -> str:
@@ -143,15 +139,14 @@ def _meta(config_hash: str, master_seed) -> dict:
 
 def cmd_theory(args) -> int:
     cfg = _load_config(args.config)
-    try:
-        dist = ProductDistribution.from_spec(cfg["dist"])
-        z = target_from_spec(cfg["target"], dist)
-        n = int(cfg["n"])
-    except KeyError as e:
-        raise ConfigError(f"theory config missing key {e}") from e
-    mech = mechanism_from_spec(cfg["mechanism"]) if "mechanism" in cfg else None
-    grid_points = int(cfg.get("grid_points", 512))
-    epsilons = [float(e) for e in cfg.get("epsilons", np.arange(0.0, 5.01, 0.5))]
+    dist = ProductDistribution.from_spec(config_value(cfg, "dist", dict))
+    z = target_from_spec(config_value(cfg, "target", object), dist)
+    n = config_value(cfg, "n", int)
+    mech = config_value(cfg, "mechanism", dict, None)
+    mech = None if mech is None else mechanism_from_spec(mech)
+    grid_points = config_value(cfg, "grid_points", int, 512)
+    eps = config_value(cfg, "epsilons", list, np.arange(0.0, 5.01, 0.5))
+    epsilons = [config_value(eps, i, float, where="epsilons") for i in range(len(eps))]
 
     m_star = dist.leakage_score(z, n)
     m_eff = effective_leakage(dist, z, n, mech)
@@ -185,12 +180,7 @@ def cmd_theory(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    raw = _load_config(args.config)
-    if args.rounds is not None:
-        raw["rounds"] = args.rounds
-    if args.master_seed is not None:
-        raw["master_seed"] = args.master_seed
-    raw["threads"] = _threads(args, raw)
+    raw = _override(_load_config(args.config), args, "rounds", "master_seed", "threads")
     cfg = GameConfig.from_dict(raw)
 
     scores, bits = _play_fixed_game(cfg)
@@ -277,58 +267,41 @@ def cmd_canary(args) -> int:
 
 def _param_slice(cfg) -> tuple | None:
     # a JSON list of one to three integers or nulls, the arguments of slice()
-    raw = cfg.get("param_slice")
+    raw = config_value(cfg, "param_slice", list, None)
     if raw is None:
         return None
-    if (not isinstance(raw, list) or not 1 <= len(raw) <= 3
+    if (not 1 <= len(raw) <= 3
             or any(isinstance(v, bool) or not isinstance(v, (int, type(None))) for v in raw)):
         raise ConfigError(f"param_slice must be a list [start, stop] of integers or nulls, "
                           f"as slice() takes them, got {raw!r}")
     return tuple(raw)
 
 
-def _float_or_none(cfg: dict, key: str) -> float | None:
-    # a number, converted as eta is, or null for None
-    value = cfg.get(key)
-    try:
-        return None if value is None else float(value)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"{key} must be a number or null, got {value!r}") from e
-
-
 def cmd_whitebox(args) -> int:
-    cfg = _load_config(args.config)
-    if args.master_seed is not None:
-        cfg["master_seed"] = args.master_seed
-    try:
-        data_spec = cfg["data"]
-        arch = cfg["arch"]
-        eta = float(cfg["eta"])
-        batch_size = int(cfg["batch_size"])
-        reps = int(cfg["reps"])
-        master_seed = int(cfg["master_seed"])
-    except KeyError as e:
-        raise ConfigError(f"whitebox config missing key {e}") from e
+    cfg = _override(_load_config(args.config), args, "master_seed", "threads")
+    data = config_value(cfg, "data", dict)
+    arch = config_value(cfg, "arch", str)
+    eta = config_value(cfg, "eta", float)
+    batch_size = config_value(cfg, "batch_size", int)
+    reps = config_value(cfg, "reps", int)
+    master_seed = config_value(cfg, "master_seed", int)
 
-    if "blobs" in json_object(data_spec, "data"):
-        spec = json_object(data_spec["blobs"], "data.blobs")
-        try:
-            # the model has the spec's c classes, whether or not the draw
-            # hits every one of them; one extra point so the training set
-            # keeps its stated size after the target is pulled out of the pool
-            classes = int(spec["c"])
-            X, y = make_blobs(
-                int(spec["n"]) + 1,
-                int(spec["f"]),
-                classes,
-                center_scale=float(spec.get("center_scale", 2.0)),
-                spread=float(spec.get("spread", 1.0)),
-                seed=int(spec.get("seed", 0)),
-            )
-        except KeyError as e:
-            raise ConfigError(f"blobs spec missing key {e}") from e
-    elif "csv" in data_spec:
-        mat = _load_matrix_csv(data_spec["csv"])
+    if "blobs" in data:
+        spec = config_value(data, "blobs", dict, where="data")
+        # the model has the spec's c classes, whether or not the draw
+        # hits every one of them; one extra point so the training set
+        # keeps its stated size after the target is pulled out of the pool
+        classes = config_value(spec, "c", int, where="data.blobs")
+        X, y = make_blobs(
+            config_value(spec, "n", int, where="data.blobs") + 1,
+            config_value(spec, "f", int, where="data.blobs"),
+            classes,
+            center_scale=config_value(spec, "center_scale", float, 2.0, where="data.blobs"),
+            spread=config_value(spec, "spread", float, 1.0, where="data.blobs"),
+            seed=config_value(spec, "seed", int, 0, where="data.blobs"),
+        )
+    elif "csv" in data:
+        mat = _load_matrix_csv(config_value(data, "csv", str, where="data"))
         if mat.shape[1] < 2:
             raise ConfigError("data CSV needs feature columns plus a label column")
         X, y = mat[:, :-1], mat[:, -1]
@@ -351,36 +324,34 @@ def cmd_whitebox(args) -> int:
     c = max(2, classes) if arch == "logistic" else 1
     theta0 = None
     if "theta0" in cfg:
-        init = json_object(cfg["theta0"], "theta0")
+        init = config_value(cfg, "theta0", dict)
         shape = ToyModel(arch, f=X.shape[1], c=c).d_p
-        rng = np.random.default_rng(int(init.get("seed", 0)))
-        theta0 = rng.standard_normal(shape) * float(init.get("scale", 1.0))
+        rng = np.random.default_rng(config_value(init, "seed", int, 0, where="theta0"))
+        theta0 = rng.standard_normal(shape) * config_value(init, "scale", float, 1.0,
+                                                           where="theta0")
     model = ToyModel(arch, f=X.shape[1], c=c, theta=theta0)
-
-    centered = cfg.get("centered", False)
-    if not isinstance(centered, bool):
-        raise ConfigError(f"centered must be true or false, got {centered!r}")
 
     def fit_refs(grad_rows):
         return estimate_reference(
             grad_rows,
-            cov_mode=cfg.get("cov_mode", "full"),
-            ridge=cfg.get("ridge"),
-            centered=centered,
+            cov_mode=config_value(cfg, "cov_mode", str, "full"),
+            ridge=config_value(cfg, "ridge", float, None),
+            centered=config_value(cfg, "centered", bool, False),
         )
 
     grads = reference_gradients(model, X, y)
     pool_refs = fit_refs(grads)
     maha = _mahalanobis_rows(grads, pool_refs)
 
-    target_spec = json_object(cfg.get("target", {"rank": "top"}), "target")
+    target_spec = config_value(cfg, "target", dict, {"rank": "top"})
+    rank = config_value(target_spec, "rank", str, None, where="target")
     if "index" in target_spec:
-        t_idx = int(target_spec["index"])
+        t_idx = config_value(target_spec, "index", int, where="target")
         if not 0 <= t_idx < len(X):
             raise ConfigError(f"target index {t_idx} out of range for pool of {len(X)}")
-    elif target_spec.get("rank") == "top":
+    elif rank == "top":
         t_idx = int(np.argmax(maha))
-    elif target_spec.get("rank") == "bottom":
+    elif rank == "bottom":
         t_idx = int(np.argmin(maha))
     else:
         raise ConfigError("target spec needs {'rank': 'top'|'bottom'} or {'index': i}")
@@ -396,8 +367,10 @@ def cmd_whitebox(args) -> int:
     # both attacks score each rep's one training run
     scores, bits = _play_reps(model, X_base, y_base, target, refs, attacks, sl, eta=eta,
                               batch_size=batch_size, reps=reps, master_seed=master_seed,
-                              epochs=int(cfg.get("epochs", 1)), clip=_float_or_none(cfg, "clip"),
-                              noise=_float_or_none(cfg, "noise"), threads=_threads(args, cfg))
+                              epochs=config_value(cfg, "epochs", int, 1),
+                              clip=config_value(cfg, "clip", float, None),
+                              noise=config_value(cfg, "noise", float, None),
+                              threads=config_value(cfg, "threads", object, None))
     out = _out_dir(args)
     results = {}
     for attack, column in zip(attacks, scores.T):
@@ -506,6 +479,8 @@ def _svg_roc(curves, log_x: bool, x_min: float) -> str:
 def cmd_report(args) -> int:
     if not args.roc:
         raise ConfigError("report needs at least one --roc CSV")
+    if args.log_x and not 0 < args.x_min < 1:
+        raise ConfigError(f"--x-min must lie in (0, 1) with --log-x, got {args.x_min}")
     if args.theory and len(args.theory) != len(args.roc):
         raise ConfigError(
             f"got {len(args.theory)} theory CSVs for {len(args.roc)} roc CSVs; "

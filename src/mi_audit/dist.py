@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from ._util import ConfigError, as_vector, json_object
+from ._util import ConfigError, as_vector, config_value
 from .score import OracleMoments
 
 __all__ = [
@@ -170,24 +170,29 @@ class ProductDistribution:
                          {"law": "gaussian", "mean": 0, "var": 1}, ...]}
             {"law": "bernoulli_uniform", "d": 5000, "a": 0.25, "seed": 7}
         """
-        json_object(obj, "dist")
+        cols = config_value(obj, "columns", list, None, where="dist")
         try:
-            if "columns" in obj:
-                cols = []
-                for c in obj["columns"]:
-                    law = c["law"]
+            if cols is not None:
+                laws = []
+                for i in range(len(cols)):
+                    col = config_value(cols, i, dict, where="dist.columns")
+                    where = f"dist.columns.{i}"
+                    law = config_value(col, "law", str, where=where)
                     if law == "bernoulli":
-                        cols.append(Bernoulli(float(c["p"])))
+                        laws.append(Bernoulli(config_value(col, "p", float, where=where)))
                     elif law == "gaussian":
-                        cols.append(Gaussian(float(c["mean"]), float(c["var"])))
+                        laws.append(Gaussian(config_value(col, "mean", float, where=where),
+                                             config_value(col, "var", float, where=where)))
                     else:
                         raise ConfigError(f"unknown column law: {law!r}")
-                return cls(cols)
-            if obj.get("law") == "bernoulli_uniform":
-                return cls.bernoulli_uniform(int(obj["d"]), float(obj["a"]), int(obj["seed"]))
-        except KeyError as e:
-            raise ConfigError(f"distribution spec missing key {e}") from e
-        except (TypeError, ValueError) as e:
+                return cls(laws)
+            if config_value(obj, "law", str, None, where="dist") == "bernoulli_uniform":
+                return cls.bernoulli_uniform(config_value(obj, "d", int, where="dist"),
+                                             config_value(obj, "a", float, where="dist"),
+                                             config_value(obj, "seed", int, where="dist"))
+        except ConfigError:
+            raise
+        except ValueError as e:
             raise ConfigError(f"bad distribution spec: {e}") from e
         raise ConfigError(
             "distribution spec needs either a 'columns' list or "
@@ -303,7 +308,7 @@ class ProductDistribution:
         return self.mahalanobis2(z) / n
 
 
-def target_from_spec(obj, dist: ProductDistribution) -> TargetPoint:
+def target_from_spec(obj, dist: ProductDistribution, key: str = "target") -> TargetPoint:
     """Parse a JSON-style target spec against a distribution.
 
     Accepted forms::
@@ -314,26 +319,27 @@ def target_from_spec(obj, dist: ProductDistribution) -> TargetPoint:
         {"draw_seed": 11}                       one seeded draw from dist
 
     The seeded draw gives an in-distribution target whose leakage score
-    concentrates around d / n, a natural medium-difficulty choice.
+    concentrates around d / n, a natural medium-difficulty choice. ``key``
+    is the spec's config key, which error messages name.
     """
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return TargetPoint(as_vector(obj, dist.d, "target"))
+        return TargetPoint(as_vector(obj, dist.d, key))
     if isinstance(obj, dict):
         if "values" in obj:
-            return TargetPoint(as_vector(obj["values"], dist.d, "target"))
+            return TargetPoint(as_vector(config_value(obj, "values", list, where=key), dist.d, key))
         if "extreme" in obj:
             easy, hard = make_extreme_targets(dist)
-            which = obj["extreme"]
+            which = config_value(obj, "extreme", str, where=key)
             if which == "easy":
                 return easy
             if which == "hard":
                 return hard
             raise ConfigError(f"extreme target must be 'easy' or 'hard', got {which!r}")
         if "draw_seed" in obj:
-            rng = np.random.default_rng(int(obj["draw_seed"]))
+            rng = np.random.default_rng(config_value(obj, "draw_seed", int, where=key))
             return TargetPoint(dist.sample_dataset(1, rng)[0].astype(np.float64))
     raise ConfigError(
-        "target spec must be a coordinate list or an object with "
+        f"{key} spec must be a coordinate list or an object with "
         "'values', 'extreme', or 'draw_seed'"
     )
 

@@ -30,7 +30,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, as_vector, json_object
+from ._util import ConfigError, NumericalError, as_vector, config_value
 from .dist import ProductDistribution, target_from_spec
 from .mech import NoisyMean, mechanism_from_spec
 from .score import SCORE_NAMES, make_score
@@ -138,48 +138,48 @@ class GameConfig:
         distribution itself via {"refs": {"n0": ..., "cov_mode": ...,
         "seed": ...}}.
         """
-        try:
-            dist = ProductDistribution.from_spec(obj["dist"])
-            mech = mechanism_from_spec(obj["mechanism"])
-            n = int(obj["n"])
-            z = target_from_spec(obj["target"], dist)
-            score_name = str(obj["score"])
-        except KeyError as e:
-            raise ConfigError(f"game config missing key {e}") from e
-        info = dict(json_object(obj.get("score_info", {}), "score_info"))
+        dist = ProductDistribution.from_spec(config_value(obj, "dist", dict))
+        mech = mechanism_from_spec(config_value(obj, "mechanism", dict))
+        n = config_value(obj, "n", int)
+        z = target_from_spec(config_value(obj, "target", object), dist)
+        score_name = config_value(obj, "score", str)
+        info = config_value(obj, "score_info", dict, {})
+        unknown = set(info) - {"z_targ", "z_ref", "gamma", "rho", "refs"}
+        if unknown:
+            raise ConfigError(f"unknown score_info keys: {sorted(unknown)}")
         kwargs = {}
         for key in ("z_targ", "z_ref"):
             if key in info:
-                kwargs[key] = target_from_spec(info.pop(key), dist)
+                kwargs[key] = target_from_spec(info[key], dist, f"score_info.{key}")
         if "gamma" in info:
-            kwargs["gamma"] = info.pop("gamma")
+            kwargs["gamma"] = info["gamma"]
         if "rho" in info:
-            kwargs["rho"] = float(info.pop("rho"))
+            kwargs["rho"] = config_value(info, "rho", float, where="score_info")
         if "refs" in info:
             from .canary import estimate_reference
 
-            spec = dict(json_object(info.pop("refs"), "score_info.refs"))
-            try:
-                n0 = int(spec.pop("n0"))
-                seed = int(spec.pop("seed"))
-            except KeyError as e:
-                raise ConfigError(f"refs spec missing key {e}") from e
-            unknown = set(spec) - {"cov_mode", "ridge", "centered"}
+            spec = config_value(info, "refs", dict, where="score_info")
+            unknown = set(spec) - {"n0", "seed", "cov_mode", "ridge", "centered"}
             if unknown:
                 raise ConfigError(f"unknown score_info.refs keys: {sorted(unknown)}")
-            sample = dist.sample_dataset(n0, np.random.default_rng(seed))
-            kwargs["refs"] = estimate_reference(sample, **spec)
-        if info:
-            raise ConfigError(f"unknown score_info keys: {sorted(info)}")
+            where = "score_info.refs"
+            n0 = config_value(spec, "n0", int, where=where)
+            seed = config_value(spec, "seed", int, where=where)
+            kwargs["refs"] = estimate_reference(
+                dist.sample_dataset(n0, np.random.default_rng(seed)),
+                cov_mode=config_value(spec, "cov_mode", str, "diagonal", where=where),
+                ridge=config_value(spec, "ridge", float, None, where=where),
+                centered=config_value(spec, "centered", bool, False, where=where),
+            )
         return cls(
             dist=dist,
             mech=mech,
             n=n,
             z=z,
             score_name=score_name,
-            rounds=int(obj.get("rounds", 1000)),
-            master_seed=int(obj.get("master_seed", 0)),
-            threads=obj.get("threads"),
+            rounds=config_value(obj, "rounds", int, 1000),
+            master_seed=config_value(obj, "master_seed", int, 0),
+            threads=config_value(obj, "threads", object, None),
             score_kwargs=kwargs,
         )
 

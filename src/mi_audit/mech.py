@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from ._util import ConfigError, json_object
+from ._util import ConfigError, config_value
 
 __all__ = [
     "EmpiricalMean",
@@ -190,23 +190,22 @@ def mechanism_from_spec(obj: dict):
         {"mechanism": "noisy_mean", "gamma": [0.5, 1.0, ...]}
         {"mechanism": "subsampled_mean", "rho": 0.5}
     """
-    kind = json_object(obj, "mechanism").get("mechanism")
+    kind = config_value(obj, "mechanism", str, where="mechanism")
     try:
         if kind == "empirical_mean":
             return EmpiricalMean()
         if kind == "noisy_mean":
             if "gamma_scalar" in obj:
-                return NoisyMean(float(obj["gamma_scalar"]))
+                return NoisyMean(config_value(obj, "gamma_scalar", float, where="mechanism"))
             if "gamma" in obj:
-                return NoisyMean(np.asarray(obj["gamma"], dtype=np.float64))
+                gamma = config_value(obj, "gamma", list, where="mechanism")
+                return NoisyMean(np.asarray(gamma, dtype=np.float64))
             raise ConfigError("noisy_mean spec needs 'gamma_scalar' or 'gamma'")
         if kind == "subsampled_mean":
-            return SubsampledMean(float(obj["rho"]))
-    except KeyError as e:
-        raise ConfigError(f"mechanism spec missing key {e}") from e
+            return SubsampledMean(config_value(obj, "rho", float, where="mechanism"))
+    except ConfigError:
+        raise
     except (TypeError, ValueError) as e:
-        if isinstance(e, ConfigError):
-            raise
         raise ConfigError(f"bad mechanism spec: {e}") from e
     raise ConfigError(
         f"unknown mechanism {kind!r}; expected one of "

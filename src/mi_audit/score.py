@@ -66,8 +66,8 @@ class ReferenceEstimates:
         self.d = d = int(self.mu0.shape[0])
         if n0 < 1:
             raise ValueError("n0 must be >= 1")
-        if ridge < 0:
-            raise ValueError("ridge must be >= 0")
+        if not 0 <= ridge < np.inf:  # written so that NaN fails it
+            raise ValueError(f"ridge must be finite and >= 0, got {ridge}")
         self.n0 = int(n0)
         self.ridge = float(ridge)
 

@@ -35,6 +35,7 @@ ever decreases.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
@@ -349,26 +350,8 @@ class TradeoffCurve:
             raise ValueError(f"epsilon must be >= 0, got {epsilon}")
         return self.q * gdp_delta(self.m_eff, float(np.log1p(np.expm1(epsilon) / self.q)))
 
-    def _dense_polyline(self, step: float) -> np.ndarray:
-        """The closed form as the polyline sup_norm_gap measures against,
-        densified to ``step``: made on the first call for a step, then
-        kept on the curve. The kept copies are neither fields nor pickled
-        state, so equality and pickles of the curve do not see them."""
-        cache = self.__dict__.setdefault("_dense", {})
-        if step not in cache:
-            dense = _dense(_theory_polyline(self.m_eff, self.q), step)
-            dense.flags.writeable = False
-            cache[step] = dense
-        return cache[step]
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_dense", None)
-        return state
-
     def __eq__(self, other):
-        """Equal fields, the arrays compared by value; the kept dense
-        polylines are not compared."""
+        """Equal fields, the arrays compared by value."""
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.m_eff == other.m_eff and self.q == other.q
@@ -538,11 +521,16 @@ def sup_norm_gap(points, m_eff, step: float = 5e-4) -> float:
     the resolution limit of a finite game, while the curves themselves can
     still be uniformly close.
     """
-    if isinstance(m_eff, TradeoffCurve):
-        theory = m_eff._dense_polyline(step)
-    else:
-        theory = _dense(_theory_polyline(*_closed_form(m_eff)), step)
-    return _dense_gap(_dense(points, step), theory)
+    return _dense_gap(_dense(points, step), _dense_theory(*_closed_form(m_eff), step))
+
+
+@functools.lru_cache(maxsize=16)
+def _dense_theory(m_eff: float, q: float, step: float) -> np.ndarray:
+    # the closed form densified to step, made once per (m_eff, q, step) and
+    # read-only, since every caller of the cache shares the one array
+    dense = _dense(_theory_polyline(m_eff, q), step)
+    dense.flags.writeable = False
+    return dense
 
 
 def vertical_gap(points, m_eff, alpha_min: float = 0.0) -> float:

@@ -38,6 +38,7 @@ GAME_CFG = {
     "master_seed": 52,
     "threads": 1,
 }
+REFS_CFG = dict(GAME_CFG, score="lr_empirical_cov")
 
 
 def write_json(path, obj):
@@ -132,13 +133,25 @@ class TestTheory:
         assert main(["theory", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         assert stderr_error(capsys)["error"] == "config"
 
-    @pytest.mark.parametrize("key, value", [("mechanism", "noisy"), ("dist", "bernoulli")])
-    def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, value):
-        cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, **{key: value}))
+    @pytest.mark.parametrize("key, kw", [
+        ("mechanism", {"mechanism": "noisy"}),
+        ("dist", {"dist": "bernoulli"}),
+        ("grid_points", {"grid_points": None}),
+        ("epsilons", {"epsilons": 5}),
+        ("epsilons.1", {"epsilons": [0.5, None]}),
+        ("dist.d", {"dist": {"law": "bernoulli_uniform", "d": None, "a": 0.25, "seed": 31}}),
+        ("dist.columns.0.p", {"dist": {"columns": [{"law": "bernoulli", "p": [0.5]}]},
+                              "target": [1.0]}),
+        ("mechanism.rho", {"mechanism": {"mechanism": "subsampled_mean", "rho": None}}),
+    ], ids=["mechanism-noisy", "dist-bernoulli", "grid_points-null", "epsilons-number",
+            "epsilons-null-entry", "dist-d-null", "column-p-list", "rho-null"])
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, kw):
+        cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, **kw))
         assert main(["theory", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
-        assert re.search(rf"\b{key}\b", msg["message"])
+        assert re.search(rf"\b{re.escape(key)}\b", msg["message"])
+        assert not (tmp_path / "o").exists()
 
     def test_config_hash_matches_simulate_with_threads(self, tmp_path):
         # the worker count is in GAME_CFG but in neither command's hash
@@ -203,16 +216,6 @@ class TestSimulate:
         assert read_json(out / "summary.json")["rounds"] == 10
         assert np.loadtxt(out / "rounds.csv", delimiter=",", skiprows=1).shape == (10, 3)
 
-    def test_threads_env_does_not_change_results(self, tmp_path, monkeypatch):
-        cfg_dict = {k: v for k, v in GAME_CFG.items() if k != "threads"}
-        cfg = write_json(tmp_path / "cfg.json", cfg_dict)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        monkeypatch.setenv("MI_AUDIT_THREADS", "1")
-        assert main(["simulate", "--config", cfg, "-o", str(out1)]) == 0
-        monkeypatch.setenv("MI_AUDIT_THREADS", "3")
-        assert main(["simulate", "--config", cfg, "-o", str(out2)]) == 0
-        assert (out1 / "rounds.csv").read_bytes() == (out2 / "rounds.csv").read_bytes()
-
     def test_summary_does_not_depend_on_threads(self, tmp_path):
         raw = dict(GAME_CFG, mechanism={"mechanism": "subsampled_mean", "rho": 0.5})
         cfg = write_json(tmp_path / "cfg.json", raw)
@@ -274,12 +277,6 @@ class TestSimulate:
         assert crafted == []
         assert not (out / "rounds.csv").exists()
 
-    def test_bad_threads_env_exits_2(self, tmp_path, monkeypatch, capsys):
-        cfg = write_json(tmp_path / "cfg.json", GAME_CFG)
-        monkeypatch.setenv("MI_AUDIT_THREADS", "many")
-        assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
-        assert stderr_error(capsys)["error"] == "config"
-
     @pytest.mark.parametrize("threads", ["2", 0, -1, 1.5, True])
     def test_malformed_config_threads_exits_2(self, tmp_path, capsys, threads):
         cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, threads=threads))
@@ -310,13 +307,27 @@ class TestSimulate:
         ("score_info.refs", dict(GAME_CFG, score="lr_empirical_cov", score_info={"refs": 5})),
         ("dist", dict(GAME_CFG, dist="bernoulli")),
         ("config", [GAME_CFG]),
-    ], ids=["mechanism", "score_info", "refs", "dist", "config"])
+        ("n", dict(GAME_CFG, n=None)),
+        ("rounds", dict(GAME_CFG, rounds=None)),
+        ("target.draw_seed", dict(GAME_CFG, target={"draw_seed": None})),
+        ("target.values", dict(GAME_CFG, target={"values": None})),
+        ("mechanism.gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean", "gamma": None})),
+        ("score_info.rho", dict(GAME_CFG, score_info={"rho": None})),
+        ("score_info.refs.n0", dict(REFS_CFG, score_info={"refs": {"n0": None, "seed": 9}})),
+        ("score_info.refs.ridge",
+         dict(REFS_CFG, score_info={"refs": {"n0": 50, "seed": 9, "ridge": "small"}})),
+        ("score_info.refs.centered",
+         dict(REFS_CFG, score_info={"refs": {"n0": 50, "seed": 9, "centered": "false"}})),
+    ], ids=["mechanism", "score_info", "refs", "dist", "config", "n-null", "rounds-null",
+            "draw_seed-null", "values-null", "gamma-null", "rho-null", "refs-n0-null",
+            "refs-ridge-word", "refs-centered-string"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, raw):
         cfg = write_json(tmp_path / "cfg.json", raw)
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
         assert re.search(rf"\b{re.escape(key)}\b", msg["message"])
+        assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "cfg.json"
@@ -360,6 +371,16 @@ class TestCanary:
         scores = [row["score"] for row in doc["ranking"]]
         assert scores == sorted(scores, reverse=True)
         assert doc["n0"] == 40
+
+    def test_non_finite_ridge_exits_2(self, tmp_path, capsys):
+        np.savetxt(tmp_path / "refs.csv", np.eye(4), delimiter=",")
+        args = ["canary", "--refs", str(tmp_path / "refs.csv"), "--candidates",
+                str(tmp_path / "refs.csv"), "--ridge", "nan", "-o", str(tmp_path / "o")]
+        assert main(args) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "ridge" in msg["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_column_mismatch_exits_2(self, tmp_path, capsys):
         np.savetxt(tmp_path / "refs.csv", np.zeros((4, 3)), delimiter=",")
@@ -432,16 +453,25 @@ class TestWhitebox:
         assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "out")]) == 0
         assert sum(runs) == BLOB_CFG["reps"]
 
-    def test_threads_come_from_flag_env_or_config(self, tmp_path, monkeypatch):
+    def test_threads_come_from_flag_or_config(self, tmp_path, monkeypatch):
+        from mi_audit import cli
+
+        seen = []
+        real = cli._play_reps
+
+        def recording(*args, threads, **kwargs):
+            seen.append(threads)
+            return real(*args, threads=threads, **kwargs)
+
+        monkeypatch.setattr(cli, "_play_reps", recording)
         cfg = write_json(tmp_path / "cfg.json", BLOB_CFG)
-        cfg2 = write_json(tmp_path / "cfg2.json", dict(BLOB_CFG, threads=2))
-        outs = [tmp_path / name for name in ("serial", "flag", "env", "config")]
+        cfg3 = write_json(tmp_path / "cfg3.json", dict(BLOB_CFG, threads=3))
+        outs = [tmp_path / name for name in ("serial", "flag", "config", "flag-over-config")]
         assert main(["whitebox", "--config", cfg, "-o", str(outs[0])]) == 0
         assert main(["whitebox", "--config", cfg, "--threads", "2", "-o", str(outs[1])]) == 0
-        monkeypatch.setenv("MI_AUDIT_THREADS", "3")
-        assert main(["whitebox", "--config", cfg, "-o", str(outs[2])]) == 0
-        monkeypatch.delenv("MI_AUDIT_THREADS")
-        assert main(["whitebox", "--config", cfg2, "-o", str(outs[3])]) == 0
+        assert main(["whitebox", "--config", cfg3, "-o", str(outs[2])]) == 0
+        assert main(["whitebox", "--config", cfg3, "--threads", "2", "-o", str(outs[3])]) == 0
+        assert seen == [None, 2, 3, 2]
         for name in ("scores_covariance.csv", "scores_scalar.csv", "whitebox.json"):
             for out in outs[1:]:
                 assert (outs[0] / name).read_bytes() == (out / name).read_bytes()
@@ -480,13 +510,24 @@ class TestWhitebox:
         ("clip", {"clip": [1.0]}),
         ("noise", {"clip": 1.0, "noise": "some"}),
         ("centered", {"centered": "false"}),
-    ], ids=["theta0", "target", "data", "blobs", "clip-word", "clip-list", "noise", "centered"])
+        ("eta", {"eta": None}),
+        ("reps", {"reps": [3]}),
+        ("epochs", {"epochs": None}),
+        ("batch_size", {"batch_size": None}),
+        ("ridge", {"ridge": "small"}),
+        ("target.index", {"target": {"index": None}}),
+        ("theta0.seed", {"theta0": {"seed": None}}),
+        ("data.blobs.n", {"data": {"blobs": {"n": None, "f": 3, "c": 2}}}),
+    ], ids=["theta0", "target", "data", "blobs", "clip-word", "clip-list", "noise", "centered",
+            "eta-null", "reps-list", "epochs-null", "batch_size-null", "ridge-word",
+            "target-index-null", "theta0-seed-null", "blobs-n-null"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, kw):
         cfg = write_json(tmp_path / "cfg.json", dict(BLOB_CFG, **kw))
         assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
         assert re.search(rf"\b{re.escape(key)}\b", msg["message"])
+        assert not (tmp_path / "o").exists()
 
     def test_numeric_strings_convert_as_eta_does(self, tmp_path):
         # clip and noise take float(), as eta does; null still means None
@@ -729,6 +770,18 @@ class TestReport:
         rc = main(["report", "--roc", str(roc_path), "--log-x", "-o", str(out)])
         assert rc == 0
         assert "1e-3" in (out / "report.svg").read_text()
+
+    @pytest.mark.parametrize("x_min", ["0", "1", "2", "-0.5", "nan"])
+    def test_log_axis_needs_x_min_inside_the_unit_interval(self, tmp_path, capsys, x_min):
+        roc_path = tmp_path / "roc.csv"
+        roc_path.write_text("fpr,tpr\n0.0,0.0\n0.5,0.9\n1.0,1.0\n")
+        out = tmp_path / "rep"
+        rc = main(["report", "--roc", str(roc_path), "--log-x", "--x-min", x_min, "-o", str(out)])
+        assert rc == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert "--x-min" in msg["message"]
+        assert not out.exists()
 
     def test_requires_matching_theory_count(self, tmp_path, capsys):
         roc_path = tmp_path / "roc.csv"

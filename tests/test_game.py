@@ -564,6 +564,10 @@ class TestGameConfig:
         with pytest.raises(ConfigError, match="missing key"):
             GameConfig.from_dict(bad)
 
+    def test_null_value_is_config_error(self):
+        with pytest.raises(ConfigError, match=r"\bn must be an integer"):
+            GameConfig.from_dict(dict(self.CFG, n=None))
+
     def test_unknown_score_info_key_is_config_error(self):
         cfg = dict(self.CFG)
         cfg["score_info"] = {"gama": 0.5}

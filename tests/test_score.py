@@ -91,6 +91,12 @@ class TestReferenceEstimates:
         refs = ReferenceEstimates(np.zeros(3), cov, n0=5, ridge=0.5)
         assert refs.precision_quad(np.ones(3)) == pytest.approx(3 / 0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("c0", [np.ones(3), np.eye(3)], ids=["diagonal", "full"])
+    def test_non_finite_or_negative_ridge_is_rejected(self, c0, ridge):
+        with pytest.raises(ValueError, match="ridge"):
+            ReferenceEstimates(np.zeros(3), c0, n0=5, ridge=ridge)
+
     def test_cholesky_factor_reconstructs(self):
         rng = np.random.default_rng(24)
         B = rng.normal(size=(12, 7))

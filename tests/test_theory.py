@@ -294,8 +294,9 @@ class TestCurveDistances:
         assert 0.04 <= g <= 0.08
 
     def test_curve_keeps_its_dense_polyline_without_changing(self):
-        # the gap against a curve reads its densified closed form from the
-        # curve after the first call, with the bits of densifying afresh
+        # the gap against a curve or a score reads its densified closed form
+        # from a cache after the first call, with the bits of densifying
+        # afresh, and caching leaves the curve itself unchanged
         rng = np.random.default_rng(29)
         scores = np.concatenate([rng.normal(size=300), rng.normal(size=300) + 1.1])
         bits = np.repeat([0, 1], 300)
@@ -318,7 +319,6 @@ class TestCurveDistances:
             copies = [pickle.loads(pickle.dumps(curve)), copy.deepcopy(curve)]
             for other in copies:
                 assert curve == other and hash(curve) == hash(other)
-            curve._dense_polyline(2e-3)  # fills the cache of one side only
             for other in copies:
                 assert curve == other and other == curve
                 assert hash(curve) == hash(other)
