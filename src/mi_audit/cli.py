@@ -40,7 +40,9 @@ from .theory import (
     vertical_gap,
 )
 from .whitebox import (
+    _ATTACKS,
     ToyModel,
+    _check_game,
     _check_slice,
     _play_reps,
     make_blobs,
@@ -363,17 +365,17 @@ def cmd_whitebox(args) -> int:
     # the target's own gradient never contaminates the estimated moments,
     # and cover the attacked parameters only
     refs = fit_refs(grads[keep][:, sl])
-    attacks = ("covariance", "scalar")
+    sgd = dict(eta=eta, batch_size=batch_size, epochs=config_value(cfg, "epochs", int, 1),
+               clip=config_value(cfg, "clip", float, None),
+               noise=config_value(cfg, "noise", float, None))
+    threads = config_value(cfg, "threads", object, None)
+    X_base, labels, target = _check_game(model, X_base, y_base, target, reps=reps, **sgd)
     # both attacks score each rep's one training run
-    scores, bits = _play_reps(model, X_base, y_base, target, refs, attacks, sl, eta=eta,
-                              batch_size=batch_size, reps=reps, master_seed=master_seed,
-                              epochs=config_value(cfg, "epochs", int, 1),
-                              clip=config_value(cfg, "clip", float, None),
-                              noise=config_value(cfg, "noise", float, None),
-                              threads=config_value(cfg, "threads", object, None))
+    scores, bits = _play_reps(model, X_base, labels, target, refs, sl, reps=reps,
+                              master_seed=master_seed, threads=threads, **sgd)
     out = _out_dir(args)
     results = {}
-    for attack, column in zip(attacks, scores.T):
+    for attack, column in zip(_ATTACKS, scores.T):
         curve = _roc(column, bits)
         results[attack] = {"auc": curve.auc, "advantage_best_threshold": curve.best_advantage()}
         _write_csv(os.path.join(out, f"scores_{attack}.csv"), "rep,score,b", "%d,%.17g,%d",

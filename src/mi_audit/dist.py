@@ -323,10 +323,11 @@ def target_from_spec(obj, dist: ProductDistribution, key: str = "target") -> Tar
     is the spec's config key, which error messages name.
     """
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return TargetPoint(as_vector(obj, dist.d, key))
+        return _finite_target(as_vector(obj, dist.d, key), key)
     if isinstance(obj, dict):
         if "values" in obj:
-            return TargetPoint(as_vector(config_value(obj, "values", list, where=key), dist.d, key))
+            values = config_value(obj, "values", list, where=key)
+            return _finite_target(as_vector(values, dist.d, key), f"{key}.values")
         if "extreme" in obj:
             easy, hard = make_extreme_targets(dist)
             which = config_value(obj, "extreme", str, where=key)
@@ -342,6 +343,15 @@ def target_from_spec(obj, dist: ProductDistribution, key: str = "target") -> Tar
         f"{key} spec must be a coordinate list or an object with "
         "'values', 'extreme', or 'draw_seed'"
     )
+
+
+def _finite_target(z: np.ndarray, key: str) -> TargetPoint:
+    # a null coordinate reads as NaN, and a NaN or infinite one would score
+    # every round NaN
+    bad = np.flatnonzero(~np.isfinite(z))
+    if bad.size:
+        raise ConfigError(f"{key} coordinates must be finite, got {z[bad[0]]} at {bad[0]}")
+    return TargetPoint(z)
 
 
 def make_extreme_targets(dist: ProductDistribution) -> tuple[TargetPoint, TargetPoint]:

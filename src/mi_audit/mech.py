@@ -110,7 +110,7 @@ class NoisyMean(_ColumnMean):
     deviation gamma_j / sqrt(n) in coordinate j.
 
     ``gamma`` may be a scalar (broadcast to every coordinate) or a length-d
-    vector of non-negative noise scales.
+    vector of finite, non-negative noise scales.
     """
 
     gamma: object
@@ -119,8 +119,8 @@ class NoisyMean(_ColumnMean):
         g = np.asarray(self.gamma, dtype=np.float64)
         if g.ndim > 1:
             raise ValueError(f"gamma must be a scalar or 1-D vector, got shape {g.shape}")
-        if np.any(g < 0):
-            raise ValueError("gamma must be >= 0 component-wise")
+        if not np.all((g >= 0) & (g < np.inf)):  # written so that NaN fails it
+            raise ValueError("gamma must be finite and >= 0 component-wise")
         g = np.atleast_1d(g).copy()
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)

@@ -17,6 +17,7 @@ finite differences.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 
@@ -34,6 +35,10 @@ __all__ = [
     "run_whitebox_game",
     "make_blobs",
 ]
+
+_ATTACKS = ("covariance", "scalar")
+# run_whitebox_game's last game, (key, scores, bits), or None
+_last_game = None
 
 
 @dataclasses.dataclass
@@ -389,7 +394,7 @@ def run_whitebox_attack(
 
 def _check_attack(d_p: int, refs: ReferenceEstimates, attack: str, param_slice) -> slice:
     """run_whitebox_attack's checks; returns the attacked parameter slice."""
-    if attack not in ("covariance", "scalar"):
+    if attack not in _ATTACKS:
         raise ConfigError(f"attack must be 'covariance' or 'scalar', got {attack!r}")
     sl = _check_slice(param_slice, d_p)
     if refs.d != sl.stop - sl.start:
@@ -462,29 +467,52 @@ def run_whitebox_game(
     >= 1, as in run_crafter, or it is a ConfigError. The game is played as
     arrays by _play_reps, as mi-audit whitebox plays it, and becomes one
     ScoredRound per rep only on return, as run_fixed_game's arrays do.
+
+    Each rep trains once and is scored by both attacks. The game keeps the
+    last game's scores of both attacks and its bits, 17 bytes a rep, in one
+    module slot, keyed by every argument but ``attack``: the contents of
+    model.theta, X, y, the target and refs' mu0, c0 and ridge, and the
+    values of the rest, ``threads`` included. A call that differs from the
+    last one only in ``attack`` trains nothing and returns that game's
+    other column; a call that raises leaves the slot as it was. A caller
+    that plays one attack alone pays for scoring the other as well. At
+    f=10, c=2 and eight steps of 64 rows, on a shared 2-vCPU VM, a rep
+    spent about 130 us drawing and training, 24 us scoring the covariance
+    attack and 2.3 us scoring the scalar one: a covariance game alone costs
+    about 1.5 % more, and a scalar game alone about 18 % more, than
+    scoring its own attack only.
     """
+    global _last_game
     sl = _check_attack(model.d_p, refs, attack, param_slice)
-    scores, bits = _play_reps(model, X, y, target_example, refs, (attack,), sl, eta=eta,
-                              batch_size=batch_size, reps=reps, master_seed=master_seed,
-                              epochs=epochs, clip=clip, noise=noise, threads=threads)
-    return _scored_rounds(scores[:, 0], bits)
+    sgd = dict(eta=eta, batch_size=batch_size, epochs=epochs, clip=clip, noise=noise)
+    X, labels, target = _check_game(model, X, y, target_example, reps=reps, **sgd)
+    key = _digest(repr((model.arch, model.f, model.c, refs.ridge, sl, reps, master_seed,
+                        threads, sgd)),
+                  model.theta, X, labels, *target, refs.mu0, refs.c0)
+    last = _last_game
+    if last is None or last[0] != key:
+        last = _last_game = (key, *_play_reps(model, X, labels, target, refs, sl,
+                                              reps=reps, master_seed=master_seed,
+                                              threads=threads, **sgd))
+    _, scores, bits = last
+    return _scored_rounds(scores[:, _ATTACKS.index(attack)], bits)
 
 
-def _play_reps(model, X, y, target_example, refs, attacks, sl, *, eta, batch_size, reps,
-               master_seed, epochs, clip, noise, threads) -> tuple[np.ndarray, np.ndarray]:
-    """Train each rep of run_whitebox_game once and score its trace with
-    every attack in ``attacks`` on the parameter slice ``sl``, both checked
-    by the caller: (scores (reps, len(attacks)), bits (reps,)) arrays.
+def _digest(text: str, *arrays) -> bytes:
+    """One blake2b digest of ``text`` and of each array's dtype, shape and
+    contents."""
+    h = hashlib.blake2b(text.encode())
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(repr((a.dtype.str, a.shape)).encode())
+        h.update(a)
+    return h.digest()
 
-    Rep r draws its coin, on heads the row the target replaces, then its
-    _draws, all on round_stream(master_seed, r), before the next rep's
-    stream is keyed. The reps are split into chunks by the games' one rule
-    (game._chunk_len), at least one per worker and each within
-    _CHUNK_FLOATS of per-example gradients, the largest per-step buffer of
-    _sgd; one _sgd call trains a chunk, one _grad_path call takes the
-    target's gradients along all of its traces, one _score_traces call
-    scores them, and _map_chunks maps the chunks. Scores do not depend on
-    the split.
+
+def _check_game(model, X, y, target_example, *, reps, eta, batch_size, epochs, clip, noise):
+    """The checks of a white-box game, made before any rep trains; returns
+    the base rows' (n, f) float features and checked labels, and the target
+    as a (features, checked label) pair.
 
     The target is trained and scored with one label: y_t cast to the base
     labels' dtype, which must keep its value.
@@ -507,11 +535,31 @@ def _play_reps(model, X, y, target_example, refs, attacks, sl, *, eta, batch_siz
     if not cast[0] == y_t:
         raise ValueError(f"target label {y_t!r} would train as {cast[0]!r}, "
                          f"the base labels being {y.dtype}")
-    label_t = model._check_labels(cast)[0]
+    return X, labels, (x_t, model._check_labels(cast)[0])
+
+
+def _play_reps(model, X, labels, target, refs, sl, *, eta, batch_size, reps, master_seed,
+               epochs, clip, noise, threads) -> tuple[np.ndarray, np.ndarray]:
+    """Train each rep of run_whitebox_game once and score its trace with
+    both attacks on the parameter slice ``sl``, on rows and a target that
+    passed _check_game and a slice that passed _check_attack: (scores
+    (reps, 2), one column per attack of _ATTACKS, bits (reps,)) arrays.
+
+    Rep r draws its coin, on heads the row the target replaces, then its
+    _draws, all on round_stream(master_seed, r), before the next rep's
+    stream is keyed. The reps are split into chunks by the games' one rule
+    (game._chunk_len), at least one per worker and each within
+    _CHUNK_FLOATS of per-example gradients, the largest per-step buffer of
+    _sgd; one _sgd call trains a chunk, one _grad_path call takes the
+    target's gradients along all of its traces, one _score_traces call
+    scores them, and _map_chunks maps the chunks. Scores do not depend on
+    the split.
+    """
+    x_t, label_t = target
     n = X.shape[0]
     per_chunk = _chunk_len(reps, batch_size * model.d_p, threads, _CHUNK_FLOATS)
     stream = _round_streams(master_seed)
-    scores = np.empty((reps, len(attacks)))
+    scores = np.empty((reps, len(_ATTACKS)))
     bits = np.empty(reps, dtype=np.uint8)
 
     def chunk(lo: int, hi: int) -> None:
@@ -522,11 +570,11 @@ def _play_reps(model, X, y, target_example, refs, attacks, sl, *, eta, batch_siz
             draws.append(_draws(rng, n, batch_size, epochs, model.d_p, noise))
         schedules, normals = zip(*draws)
         thetas = _sgd(model, X, labels, np.stack(schedules), np.stack(normals) if noise else None,
-                      eta, clip, noise, swap if np.any(swap >= 0) else None, (x_t, label_t))
+                      eta, clip, noise, swap if np.any(swap >= 0) else None, target)
         g_stars = model._grad_path(x_t, label_t, thetas[:, :-1].reshape(-1, model.d_p))
         bits[lo:hi] = swap >= 0
         scores[lo:hi] = _score_traces(thetas, g_stars, float(eta), int(batch_size), refs,
-                                      attacks, sl)
+                                      _ATTACKS, sl)
 
     _map_chunks(chunk, reps, per_chunk, threads)
     return scores, bits

@@ -26,6 +26,7 @@ from mi_audit import (
     score_transcript,
     tradeoff_curve,
 )
+from mi_audit import whitebox
 
 settings.register_profile(
     "pinned",
@@ -34,6 +35,14 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("pinned")
+
+
+@pytest.fixture(autouse=True)
+def _no_last_whitebox_game(monkeypatch):
+    # run_whitebox_game keeps the last game in a module slot; every test
+    # starts without one, so no test reads a game another test played
+    monkeypatch.setattr(whitebox, "_last_game", None)
+
 
 # modest worker count: the crafting path must behave identically with and
 # without a thread pool, and this box has a single core anyway

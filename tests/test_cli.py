@@ -277,6 +277,29 @@ class TestSimulate:
         assert crafted == []
         assert not (out / "rounds.csv").exists()
 
+    @pytest.mark.parametrize("key, kw", [
+        ("target", {"target": [0.0, 1.0, float("nan"), 0.0, 1.0, 0.0]}),
+        ("target.values", {"target": {"values": [0.0, None, 1.0, 0.0, 1.0, 0.0]}}),
+        ("score_info.z_targ.values", {"score": "lr_misspecified",
+                                      "score_info": {"z_targ": {"values": [float("inf")] * 6}}}),
+        ("score_info.z_ref", {"score": "scalar_product",
+                              "score_info": {"z_ref": [float("-inf")] + [0.0] * 5}}),
+    ], ids=["target-nan", "target-values-null", "z_targ-inf", "z_ref-minus-inf"])
+    def test_non_finite_target_exits_2_before_crafting(self, tmp_path, capsys, monkeypatch,
+                                                       key, kw):
+        from mi_audit import game
+
+        crafted = []
+        monkeypatch.setattr(game, "_craft_rounds", lambda *args: crafted.append(1))
+        cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, **kw))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "-o", str(out)]) == 2
+        err = stderr_error(capsys)
+        assert err["error"] == "config"
+        assert re.search(rf"{re.escape(key)} coordinates must be finite", err["message"])
+        assert crafted == []
+        assert not out.exists()
+
     @pytest.mark.parametrize("threads", ["2", 0, -1, 1.5, True])
     def test_malformed_config_threads_exits_2(self, tmp_path, capsys, threads):
         cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, threads=threads))
@@ -312,6 +335,9 @@ class TestSimulate:
         ("target.draw_seed", dict(GAME_CFG, target={"draw_seed": None})),
         ("target.values", dict(GAME_CFG, target={"values": None})),
         ("mechanism.gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean", "gamma": None})),
+        ("gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean",
+                                            "gamma_scalar": float("nan")})),
+        ("gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean", "gamma": [float("inf")]})),
         ("score_info.rho", dict(GAME_CFG, score_info={"rho": None})),
         ("score_info.refs.n0", dict(REFS_CFG, score_info={"refs": {"n0": None, "seed": 9}})),
         ("score_info.refs.ridge",
@@ -319,7 +345,8 @@ class TestSimulate:
         ("score_info.refs.centered",
          dict(REFS_CFG, score_info={"refs": {"n0": 50, "seed": 9, "centered": "false"}})),
     ], ids=["mechanism", "score_info", "refs", "dist", "config", "n-null", "rounds-null",
-            "draw_seed-null", "values-null", "gamma-null", "rho-null", "refs-n0-null",
+            "draw_seed-null", "values-null", "gamma-null", "gamma_scalar-nan", "gamma-inf",
+            "rho-null", "refs-n0-null",
             "refs-ridge-word", "refs-centered-string"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, raw):
         cfg = write_json(tmp_path / "cfg.json", raw)

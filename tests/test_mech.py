@@ -72,6 +72,10 @@ class TestNoisyMean:
             NoisyMean(-0.5)
         with pytest.raises(ValueError):
             NoisyMean(np.array([0.5, -0.1]))
+        # NaN fails every comparison, so the bound must reject it too
+        for gamma in (float("nan"), [np.inf], [0.5, np.nan], -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                NoisyMean(gamma)
 
 
 class TestSubsampledMean:

@@ -472,13 +472,27 @@ class TestExactAgainstPerStepCode:
             assert got == ref
 
 
+@pytest.fixture
+def sgd_runs(monkeypatch):
+    """The run count of each whitebox._sgd call, in call order."""
+    runs = []
+    real = whitebox._sgd
+
+    def recording(model, X, labels, schedules, *args):
+        runs.append(len(schedules))
+        return real(model, X, labels, schedules, *args)
+
+    monkeypatch.setattr(whitebox, "_sgd", recording)
+    return runs
+
+
 class TestStackedGameAgainstPerRepCode:
     """run_whitebox_game trains a chunk of reps as one SGD run. Its scores
     must equal, exactly, those of oracles.whitebox_game_reps, which trains
     and scores one rep at a time, whatever the chunk size and thread count."""
 
     @pytest.mark.parametrize("case", list(EXACT_CASES))
-    def test_scores_match_at_every_chunk_size(self, case, monkeypatch):
+    def test_scores_match_at_every_chunk_size(self, case, monkeypatch, sgd_runs):
         model, X, y, target, sgd, param_slice, refs = exact_case(case)
         reps, batch = 7, 7
         want = {
@@ -487,28 +501,114 @@ class TestStackedGameAgainstPerRepCode:
             for attack in ("covariance", "scalar")
         }
         assert {b for _, b in want["covariance"]} == {0, 1}
-        runs = []
-        real = whitebox._sgd
-
-        def recording(model, X, labels, schedules, *args):
-            runs.append(len(schedules))
-            return real(model, X, labels, schedules, *args)
-
-        monkeypatch.setattr(whitebox, "_sgd", recording)
         for per_chunk in (1, 3, reps):
             monkeypatch.setattr(whitebox, "_CHUNK_FLOATS", per_chunk * batch * model.d_p)
             for threads in (1, 3):
-                for attack in ("covariance", "scalar"):
-                    runs.clear()
+                # the chunk size is no argument of the game, so the slot
+                # must not hold this game from the last chunk size
+                monkeypatch.setattr(whitebox, "_last_game", None)
+                # the covariance game trains every rep; the scalar game
+                # right after it reads the same runs and trains none
+                for attack, trained in (("covariance", reps), ("scalar", 0)):
+                    sgd_runs.clear()
                     game = run_whitebox_game(
                         model, X, y, target, batch_size=batch, refs=refs, attack=attack,
                         reps=reps, master_seed=19, param_slice=param_slice, threads=threads,
                         **sgd,
                     )
                     assert [(r.score, r.b) for r in game] == want[attack]
-                    assert sum(runs) == reps
-                    if threads == 1:
-                        assert max(runs) == per_chunk
+                    assert sum(sgd_runs) == trained
+                    if trained and threads == 1:
+                        assert max(sgd_runs) == per_chunk
+
+
+class TestLastGame:
+    """run_whitebox_game keeps the last game's scores of both attacks in one
+    module slot. A call that differs from the last one only in ``attack``
+    trains nothing; a change of any other argument, in place or not,
+    trains afresh. Every game equals oracles.whitebox_game_reps exactly."""
+
+    # clip and noise set, and a parameter slice whose references a second
+    # slice of the same width can use
+    CASE = "logistic-c3-two-epochs-clip-noise"
+    OTHER = {"eta": 0.06, "batch_size": 6, "reps": 8, "master_seed": 20, "epochs": 1,
+             "clip": 2.0, "noise": 0.25, "param_slice": (3, 15), "threads": 2}
+
+    @staticmethod
+    def game():
+        model, X, y, target, sgd, _, _ = exact_case(TestLastGame.CASE)
+        refs = estimate_reference(reference_gradients(model, X, y)[:, :12], cov_mode="full")
+        kw = dict(batch_size=7, refs=refs, reps=7, master_seed=19, param_slice=(0, 12),
+                  threads=1, **sgd)
+        return model, X, y, target, kw
+
+    @staticmethod
+    def want(model, X, y, target, attack, kw):
+        sgd = {key: kw[key] for key in ("eta", "epochs", "clip", "noise")}
+        return oracles.whitebox_game_reps(model, X, y, target, kw["refs"], attack, kw["reps"],
+                                          kw["master_seed"], kw["batch_size"],
+                                          kw["param_slice"], **sgd)
+
+    def play(self, sgd_runs, model, X, y, target, attack, kw, trained):
+        sgd_runs.clear()
+        game = run_whitebox_game(model, X, y, target, attack=attack, **kw)
+        assert sum(sgd_runs) == trained
+        assert [(r.score, r.b) for r in game] == self.want(model, X, y, target, attack, kw)
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("first, second", [("covariance", "scalar"),
+                                               ("scalar", "covariance")])
+    def test_either_order_trains_once(self, sgd_runs, first, second, threads):
+        model, X, y, target, kw = self.game()
+        kw["threads"] = threads
+        self.play(sgd_runs, model, X, y, target, first, kw, kw["reps"])
+        self.play(sgd_runs, model, X, y, target, second, kw, 0)
+        self.play(sgd_runs, model, X, y, target, first, kw, 0)
+
+    @pytest.mark.parametrize("change", ["X-in-place", "y-in-place", "theta-in-place",
+                                        "refs-ridge", "refs-rows", "target", *OTHER])
+    def test_any_other_change_trains_afresh(self, sgd_runs, change):
+        model, X, y, target, kw = self.game()
+        self.play(sgd_runs, model, X, y, target, "covariance", kw, kw["reps"])
+        if change == "X-in-place":
+            X[0] += 0.5
+        elif change == "y-in-place":
+            y[0] = (y[0] + 1) % model.c
+        elif change == "theta-in-place":
+            model.theta[0] += 0.1
+        elif change == "refs-ridge":
+            kw["refs"] = estimate_reference(reference_gradients(model, X, y)[:, :12],
+                                            cov_mode="full", ridge=1e-3)
+        elif change == "refs-rows":
+            kw["refs"] = estimate_reference(reference_gradients(model, X[1:], y[1:])[:, :12],
+                                            cov_mode="full")
+        elif change == "target":
+            target = (target[0] + 0.5, target[1])
+        else:
+            kw[change] = self.OTHER[change]
+        self.play(sgd_runs, model, X, y, target, "scalar", kw, kw["reps"])
+        self.play(sgd_runs, model, X, y, target, "covariance", kw, 0)
+
+    @pytest.mark.parametrize("bad", [
+        lambda X, y: {"attack": "bogus"},
+        lambda X, y: {"eta": np.nan},
+        lambda X, y: {"reps": 0},
+        lambda X, y: {"param_slice": (4, 17)},
+        lambda X, y: {"threads": 0},
+        # equal to threads=1 as a value, but still no integer thread count
+        lambda X, y: {"threads": True},
+        lambda X, y: {"target_example": (X[3], y[3])},
+    ], ids=["attack", "eta-nan", "reps-0", "slice", "threads-0", "threads-true",
+            "target-in-base-rows"])
+    def test_a_call_that_raises_leaves_the_slot(self, sgd_runs, bad):
+        model, X, y, target, kw = self.game()
+        self.play(sgd_runs, model, X, y, target, "covariance", kw, kw["reps"])
+        slot = whitebox._last_game
+        with pytest.raises(ValueError):
+            run_whitebox_game(model, X, y, **{"target_example": target, "attack": "scalar",
+                                              **kw, **bad(X, y)})
+        assert whitebox._last_game is slot
+        self.play(sgd_runs, model, X, y, target, "scalar", kw, 0)
 
 
 class TestWhiteboxGame:
