@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ConfigError", "NumericalError", "as_vector", "config_value"]
+__all__ = ["ConfigError", "NumericalError", "as_vector", "config_value", "config_checked"]
 
 
 class ConfigError(ValueError):
@@ -77,3 +77,14 @@ def config_value(obj, key, kind: type, default=_REQUIRED, where: str = ""):
             pass
     null = " or null" if default is None else ""
     raise ConfigError(f"{name} must be {_KINDS[kind]}{null}, got {value!r}")
+
+
+def config_checked(check, obj, key, kind: type, where: str = ""):
+    """``check(config_value(obj, key, kind, where=where))``, for a value that
+    ``check`` validates further: a TypeError or ValueError it raises becomes
+    a ConfigError that names the dotted key ``where.key``."""
+    value = config_value(obj, key, kind, where=where)
+    try:
+        return check(value)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"{where}.{key}: {e}") from e

@@ -14,8 +14,11 @@ its randomness from a counter-based stream keyed by (s, t). Rounds are
 therefore independent of execution order and thread count, and a fixed seed
 yields bit-identical transcripts everywhere.
 
-Every game, white-box ones too, plays its rounds in chunks. A chunk makes
-the draws of its rounds one round at a time, each on that round's own
+Every game, white-box ones too, plays its rounds through one chunk loop,
+_play_chunks, in chunks of at most _CHUNK_FLOATS floats of the game's
+largest per-round block, or of one round, at least one chunk per worker and
+as even as that allows, run in order, on a pool when threads >= 2. A chunk
+makes the draws of its rounds one round at a time, each on that round's own
 (s, t) stream, then computes on arrays with no generator in hand: it
 finishes, scores and keeps the whole chunk. Chunks group the arithmetic,
 never the randomness: every element is computed as the one-round path
@@ -30,9 +33,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, as_vector, config_value
+from ._util import ConfigError, NumericalError, as_vector, config_checked, config_value
 from .dist import ProductDistribution, target_from_spec
-from .mech import NoisyMean, mechanism_from_spec
+from .mech import NoisyMean, _noise_scales, mechanism_from_spec
 from .score import SCORE_NAMES, make_score
 
 __all__ = [
@@ -152,7 +155,9 @@ class GameConfig:
             if key in info:
                 kwargs[key] = target_from_spec(info[key], dist, f"score_info.{key}")
         if "gamma" in info:
-            kwargs["gamma"] = info["gamma"]
+            kind = list if isinstance(info["gamma"], list) else float
+            kwargs["gamma"] = config_checked(_noise_scales, info, "gamma", kind,
+                                             where="score_info")
         if "rho" in info:
             kwargs["rho"] = config_value(info, "rho", float, where="score_info")
         if "refs" in info:
@@ -309,27 +314,39 @@ _CHUNK_FLOATS = 1 << 14
 
 
 def _chunk_len(count: int, floats_each: int, threads: int | None, budget: int) -> int:
-    """Items per chunk when ``count`` items of ``floats_each`` floats each
-    are split into chunks of at most ``budget`` floats, or of one item,
-    with at least one chunk per worker and the chunks as even as that
-    allows."""
+    """Items per chunk of ``count`` items of ``floats_each`` floats each, by
+    the chunk rule of the module docstring with ``budget`` floats a chunk."""
     per = max(1, budget // floats_each)
     chunks = max(_resolve_threads(threads), -(-count // per))
     return -(-count // min(chunks, count))
 
 
-def _map_chunks(fn, count: int, size: int, threads: int | None) -> list:
-    """``fn(lo, hi)`` for each chunk [lo, hi) of ``size`` items of
-    range(count), in order, on a pool when ``threads`` >= 2. Each round
-    draws from its own (seed, t) stream, so results never depend on the
-    worker count."""
-    workers = _resolve_threads(threads)
+def _play_chunks(count: int, seed: int, threads: int | None, floats_each: int, columns: int,
+                 body) -> tuple[np.ndarray, np.ndarray]:
+    """(scores (count, columns), bits (count,)) of ``count`` rounds keyed by
+    ``seed`` and played by chunk, a round holding ``floats_each`` floats.
+    ``body(lo, hi, rngs, scores)`` plays the chunk [lo, hi): ``rngs``
+    yields its rounds' generators in turn, each valid until the next is
+    asked for, ``scores`` is its (hi - lo, columns) block to fill, and it
+    returns the chunk's bits.
+    """
+    scores = np.empty((count, columns), dtype=np.float64)
+    bits = np.empty(count, dtype=np.uint8)
+    stream = _round_streams(seed)
+    size = _chunk_len(count, floats_each, threads, _CHUNK_FLOATS)
+
+    def chunk(lo: int) -> None:
+        hi = min(count, lo + size)
+        bits[lo:hi] = body(lo, hi, map(stream, range(lo, hi)), scores[lo:hi])
+
     starts = range(0, count, size)
-    ends = [min(count, lo + size) for lo in starts]
-    if workers == 1 or len(starts) == 1:
-        return list(map(fn, starts, ends))
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, starts, ends))
+    workers = min(_resolve_threads(threads), len(starts))
+    if workers == 1:
+        list(map(chunk, starts))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            list(ex.map(chunk, starts))
+    return scores, bits
 
 
 def run_crafter(
@@ -352,8 +369,10 @@ def run_crafter(
         raise ValueError("rounds must be >= 1")
     if n < 1:
         raise ValueError("n must be >= 1")
+    zv = as_vector(z, dist.d, "z")
     outputs = np.empty((rounds, dist.d), dtype=np.float64)
-    _, bits = _play(dist, mech, n, z, None, rounds, master_seed, threads, outputs)
+    _, bits = _play_chunks(rounds, master_seed, threads, dist.d, 0, lambda lo, hi, rngs, _:
+                           _craft_rounds(dist, mech, n, zv, rngs, outputs[lo:hi]))
     bits.flags.writeable = False
     outputs.flags.writeable = False
     return CrafterTranscript(outputs=outputs, bits=bits)
@@ -365,9 +384,10 @@ def _score_rows(score_fn, outputs: np.ndarray, z, first: int) -> np.ndarray:
 
     A score with a block form (see :func:`mi_audit.score.make_score`)
     scores the block in one call. If that call fails, or the score has no
-    block form, each row is scored alone, so a failure is re-raised with
-    its round attached. A NaN score is rejected, naming the first round
-    that gave one.
+    block form, each row is scored alone, so that a failure names its
+    round: a ValueError is raised as a ConfigError, anything else as a
+    NumericalError, either chained from the score's own error. A NaN score
+    is rejected, naming the first round that gave one.
     """
     block = getattr(score_fn, "block", None)
     scores = None
@@ -382,8 +402,8 @@ def _score_rows(score_fn, outputs: np.ndarray, z, first: int) -> np.ndarray:
             try:
                 scores[i] = float(score_fn(o, z[i] if np.ndim(z) == 2 else z))
             except Exception as e:
-                e.args = (f"round {first + i}: {e}",)
-                raise
+                error = ConfigError if isinstance(e, ValueError) else NumericalError
+                raise error(f"round {first + i}: {e}") from e
             if np.isnan(scores[i]):
                 break  # named below, before any later round is scored
     nan = np.flatnonzero(np.isnan(scores))
@@ -400,9 +420,9 @@ def score_transcript(transcript: CrafterTranscript, score_fn, z) -> list[ScoredR
     """Apply one score function to every round of a crafted transcript.
 
     Rounds are scored a chunk at a time, through the score's block form
-    when it has one. Score failures are re-raised with the round index
-    attached; a NaN score is rejected outright since it would poison every
-    threshold comparison downstream.
+    when it has one. A score failure is raised as a ConfigError or a
+    NumericalError that names the round; a NaN score is rejected outright
+    since it would poison every threshold comparison downstream.
     """
     outputs = transcript.outputs
     T, d = outputs.shape
@@ -411,35 +431,28 @@ def score_transcript(transcript: CrafterTranscript, score_fn, z) -> list[ScoredR
     return _scored_rounds(np.concatenate(scores), transcript.bits)
 
 
-def _play(dist, mech, n: int, z, score_fn, rounds: int, seed: int, threads: int | None,
-          outputs: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _play(dist, mech, n: int, z, score_fn, rounds: int, seed: int,
+          threads: int | None) -> tuple[np.ndarray, np.ndarray]:
     """(scores, bits) of ``rounds`` rounds against the target ``z``, or,
     with ``z`` None, against a target each round draws.
 
     Each chunk of rounds is crafted and scored in turn, and only its scores
     and bits are kept, so a game holds one chunk of releases per worker
-    whatever its round count. The values are those of crafting and scoring
-    one round at a time. run_crafter passes ``score_fn`` None, which
-    leaves the scores unset, and a (rounds, d) ``outputs`` that keeps every
-    release.
+    whatever its round count.
     """
     d = dist.d
     zv = None if z is None else as_vector(z, d, "z")
-    scores = np.empty(rounds, dtype=np.float64)
-    bits = np.empty(rounds, dtype=np.uint8)
-    stream = _round_streams(seed)
 
-    def chunk(lo: int, hi: int) -> None:
-        out = np.empty((hi - lo, d), dtype=np.float64) if outputs is None else outputs[lo:hi]
+    def body(lo, hi, rngs, scores):
+        out = np.empty((hi - lo, d), dtype=np.float64)
         Z = np.empty_like(out) if zv is None else zv
-        bits[lo:hi] = _craft_rounds(dist, mech, n, Z, map(stream, range(lo, hi)), out)
-        if score_fn is not None:
-            scores[lo:hi] = _score_rows(score_fn, out, Z, lo)
+        bits = _craft_rounds(dist, mech, n, Z, rngs, out)
+        scores[:, 0] = _score_rows(score_fn, out, Z, lo)
+        return bits
 
     # an average-game chunk holds two (T, d) blocks: releases and targets
-    size = _chunk_len(rounds, d if zv is not None else 2 * d, threads, _CHUNK_FLOATS)
-    _map_chunks(chunk, rounds, size, threads)
-    return scores, bits
+    scores, bits = _play_chunks(rounds, seed, threads, d if zv is not None else 2 * d, 1, body)
+    return scores[:, 0], bits
 
 
 def _play_fixed_game(cfg: GameConfig) -> tuple[np.ndarray, np.ndarray]:

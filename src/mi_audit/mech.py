@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from ._util import ConfigError, config_value
+from ._util import ConfigError, config_checked, config_value
 
 __all__ = [
     "EmpiricalMean",
@@ -95,6 +95,17 @@ class _ColumnMean:
         return out
 
 
+def _noise_scales(gamma) -> np.ndarray:
+    """``gamma`` as a float array of noise scales, a scalar or a vector of
+    them, each finite and >= 0."""
+    g = np.asarray(gamma, dtype=np.float64)
+    if g.ndim > 1:
+        raise ValueError(f"gamma must be a scalar or 1-D vector, got shape {g.shape}")
+    if not np.all((g >= 0) & (g < np.inf)):  # written so that NaN fails it
+        raise ValueError("gamma must be >= 0 and finite component-wise")
+    return g
+
+
 @dataclasses.dataclass(frozen=True)
 class EmpiricalMean(_ColumnMean):
     """Releases the exact column-wise mean."""
@@ -116,12 +127,7 @@ class NoisyMean(_ColumnMean):
     gamma: object
 
     def __post_init__(self):
-        g = np.asarray(self.gamma, dtype=np.float64)
-        if g.ndim > 1:
-            raise ValueError(f"gamma must be a scalar or 1-D vector, got shape {g.shape}")
-        if not np.all((g >= 0) & (g < np.inf)):  # written so that NaN fails it
-            raise ValueError("gamma must be finite and >= 0 component-wise")
-        g = np.atleast_1d(g).copy()
+        g = np.atleast_1d(_noise_scales(self.gamma)).copy()
         g.flags.writeable = False
         object.__setattr__(self, "gamma", g)
 
@@ -191,22 +197,16 @@ def mechanism_from_spec(obj: dict):
         {"mechanism": "subsampled_mean", "rho": 0.5}
     """
     kind = config_value(obj, "mechanism", str, where="mechanism")
-    try:
-        if kind == "empirical_mean":
-            return EmpiricalMean()
-        if kind == "noisy_mean":
-            if "gamma_scalar" in obj:
-                return NoisyMean(config_value(obj, "gamma_scalar", float, where="mechanism"))
-            if "gamma" in obj:
-                gamma = config_value(obj, "gamma", list, where="mechanism")
-                return NoisyMean(np.asarray(gamma, dtype=np.float64))
-            raise ConfigError("noisy_mean spec needs 'gamma_scalar' or 'gamma'")
-        if kind == "subsampled_mean":
-            return SubsampledMean(config_value(obj, "rho", float, where="mechanism"))
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad mechanism spec: {e}") from e
+    if kind == "empirical_mean":
+        return EmpiricalMean()
+    if kind == "noisy_mean":
+        if "gamma_scalar" in obj:
+            return config_checked(NoisyMean, obj, "gamma_scalar", float, where="mechanism")
+        if "gamma" in obj:
+            return config_checked(NoisyMean, obj, "gamma", list, where="mechanism")
+        raise ConfigError("noisy_mean spec needs 'gamma_scalar' or 'gamma'")
+    if kind == "subsampled_mean":
+        return config_checked(SubsampledMean, obj, "rho", float, where="mechanism")
     raise ConfigError(
         f"unknown mechanism {kind!r}; expected one of "
         "'empirical_mean', 'noisy_mean', 'subsampled_mean'"

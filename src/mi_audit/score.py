@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from ._util import ConfigError, NumericalError, as_vector
-from .mech import NoisyMean, SubsampledMean, subsample_count
+from .mech import NoisyMean, SubsampledMean, _noise_scales, subsample_count
 
 # scipy.linalg.solve_triangular's own LAPACK routine for float64 input
 _TRTRS = scipy.linalg.get_lapack_funcs(("trtrs",), dtype=np.float64)[0]
@@ -180,8 +180,8 @@ class OracleMoments(ReferenceEstimates):
         s2 = np.asarray(sigma2, dtype=np.float64)
         if mu.ndim != 1 or mu.shape != s2.shape:
             raise ValueError("mu and sigma2 must be 1-D vectors of equal length")
-        if np.any(s2 <= 0):
-            raise ValueError("sigma2 must be > 0 component-wise")
+        if not np.all((s2 > 0) & (s2 < np.inf)):  # written so that NaN fails it
+            raise ValueError("sigma2 must be finite and > 0 component-wise")
         super().__init__(mu, s2, n0=1)
         self.n0 = None
 
@@ -301,9 +301,7 @@ def _targets(z, mu_hat: np.ndarray, d: int) -> np.ndarray:
 
 def _noise_inflated(om: OracleMoments, gamma) -> OracleMoments:
     # the moments of a mean released with N(0, gamma^2) noise per coordinate
-    g = np.asarray(gamma, dtype=np.float64)
-    if np.any(g < 0):
-        raise ValueError("gamma must be >= 0")
+    g = _noise_scales(gamma)
     return OracleMoments(om.mu, om.sigma2 + np.broadcast_to(np.square(g), om.sigma2.shape))
 
 

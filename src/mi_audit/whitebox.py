@@ -22,8 +22,7 @@ import hashlib
 import numpy as np
 
 from ._util import ConfigError, as_vector
-from .game import (_CHUNK_FLOATS, ScoredRound, _chunk_len, _map_chunks, _round_streams,
-                   _scored_rounds)
+from .game import ScoredRound, _play_chunks, _scored_rounds
 from .score import ReferenceEstimates, _lr, _scalar
 
 __all__ = [
@@ -541,43 +540,32 @@ def _check_game(model, X, y, target_example, *, reps, eta, batch_size, epochs, c
 def _play_reps(model, X, labels, target, refs, sl, *, eta, batch_size, reps, master_seed,
                epochs, clip, noise, threads) -> tuple[np.ndarray, np.ndarray]:
     """Train each rep of run_whitebox_game once and score its trace with
-    both attacks on the parameter slice ``sl``, on rows and a target that
-    passed _check_game and a slice that passed _check_attack: (scores
-    (reps, 2), one column per attack of _ATTACKS, bits (reps,)) arrays.
+    both attacks on the slice ``sl``, on rows, a target and a slice that
+    passed _check_game and _check_attack: (scores (reps, 2), a column per
+    attack of _ATTACKS, bits (reps,)).
 
     Rep r draws its coin, on heads the row the target replaces, then its
-    _draws, all on round_stream(master_seed, r), before the next rep's
-    stream is keyed. The reps are split into chunks by the games' one rule
-    (game._chunk_len), at least one per worker and each within
-    _CHUNK_FLOATS of per-example gradients, the largest per-step buffer of
-    _sgd; one _sgd call trains a chunk, one _grad_path call takes the
-    target's gradients along all of its traces, one _score_traces call
-    scores them, and _map_chunks maps the chunks. Scores do not depend on
-    the split.
+    _draws, on round_stream(master_seed, r). The reps are played by
+    game._play_chunks, a rep holding its per-example gradients, the largest
+    per-step buffer of _sgd. One _sgd call trains a chunk, one _grad_path
+    call differentiates its traces and one _score_traces call scores them.
     """
-    x_t, label_t = target
     n = X.shape[0]
-    per_chunk = _chunk_len(reps, batch_size * model.d_p, threads, _CHUNK_FLOATS)
-    stream = _round_streams(master_seed)
-    scores = np.empty((reps, len(_ATTACKS)))
-    bits = np.empty(reps, dtype=np.uint8)
 
-    def chunk(lo: int, hi: int) -> None:
+    def body(lo, hi, rngs, scores):
         swap, draws = np.empty(hi - lo, dtype=np.intp), []
-        for i, r in enumerate(range(lo, hi)):
-            rng = stream(r)
+        for i, rng in enumerate(rngs):
             swap[i] = rng.integers(0, n) if rng.integers(0, 2) else -1
             draws.append(_draws(rng, n, batch_size, epochs, model.d_p, noise))
         schedules, normals = zip(*draws)
         thetas = _sgd(model, X, labels, np.stack(schedules), np.stack(normals) if noise else None,
                       eta, clip, noise, swap if np.any(swap >= 0) else None, target)
-        g_stars = model._grad_path(x_t, label_t, thetas[:, :-1].reshape(-1, model.d_p))
-        bits[lo:hi] = swap >= 0
-        scores[lo:hi] = _score_traces(thetas, g_stars, float(eta), int(batch_size), refs,
-                                      _ATTACKS, sl)
+        g_stars = model._grad_path(*target, thetas[:, :-1].reshape(-1, model.d_p))
+        scores[:] = _score_traces(thetas, g_stars, float(eta), int(batch_size), refs, _ATTACKS,
+                                  sl)
+        return swap >= 0
 
-    _map_chunks(chunk, reps, per_chunk, threads)
-    return scores, bits
+    return _play_chunks(reps, master_seed, threads, batch_size * model.d_p, len(_ATTACKS), body)
 
 
 def make_blobs(n: int, f: int, c: int, *, center_scale: float = 2.0, spread: float = 1.0, seed=0):

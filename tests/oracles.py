@@ -355,9 +355,11 @@ def average_round_ref(dist, mech, n, score, seed, t):
     drawn from dist and stored as float64, craft releases on the same
     stream, and the score is taken against the round's own target. Returns
     (score, bit), equal bit for bit to the game's round t. A score that
-    raises or gives NaN is an error naming round t.
+    raises or gives NaN is an error naming round t: a ValueError is raised
+    as a ConfigError, anything else as a NumericalError, chained from the
+    score's own error.
     """
-    from mi_audit import NumericalError, craft, round_stream
+    from mi_audit import ConfigError, NumericalError, craft, round_stream
 
     rng = round_stream(seed, t)
     z = dist.sample_dataset(1, rng)[0].astype(np.float64)
@@ -365,8 +367,8 @@ def average_round_ref(dist, mech, n, score, seed, t):
     try:
         s = float(score(o, z))
     except Exception as e:
-        e.args = (f"round {t}: {e}",)
-        raise
+        error = ConfigError if isinstance(e, ValueError) else NumericalError
+        raise error(f"round {t}: {e}") from e
     if np.isnan(s):
         raise NumericalError(f"round {t}: score is NaN")
     return s, b

@@ -335,9 +335,19 @@ class TestSimulate:
         ("target.draw_seed", dict(GAME_CFG, target={"draw_seed": None})),
         ("target.values", dict(GAME_CFG, target={"values": None})),
         ("mechanism.gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean", "gamma": None})),
-        ("gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean",
-                                            "gamma_scalar": float("nan")})),
-        ("gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean", "gamma": [float("inf")]})),
+        ("mechanism.gamma_scalar", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean",
+                                                             "gamma_scalar": float("nan")})),
+        ("mechanism.gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean",
+                                                      "gamma": [float("inf")]})),
+        ("mechanism.gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean",
+                                                      "gamma": [0.5, "abc"]})),
+        ("mechanism.rho", dict(GAME_CFG, mechanism={"mechanism": "subsampled_mean",
+                                                    "rho": float("nan")})),
+        ("mechanism.rho", dict(GAME_CFG, mechanism={"mechanism": "subsampled_mean", "rho": 1.5})),
+        ("score_info.gamma", dict(GAME_CFG, score="lr_noisy",
+                                  score_info={"gamma": float("nan")})),
+        ("score_info.gamma", dict(GAME_CFG, score="lr_noisy", score_info={"gamma": "abc"})),
+        ("score_info.gamma", dict(GAME_CFG, score="lr_noisy", score_info={"gamma": [None]})),
         ("score_info.rho", dict(GAME_CFG, score_info={"rho": None})),
         ("score_info.refs.n0", dict(REFS_CFG, score_info={"refs": {"n0": None, "seed": 9}})),
         ("score_info.refs.ridge",
@@ -346,14 +356,20 @@ class TestSimulate:
          dict(REFS_CFG, score_info={"refs": {"n0": 50, "seed": 9, "centered": "false"}})),
     ], ids=["mechanism", "score_info", "refs", "dist", "config", "n-null", "rounds-null",
             "draw_seed-null", "values-null", "gamma-null", "gamma_scalar-nan", "gamma-inf",
-            "rho-null", "refs-n0-null",
+            "gamma-word", "rho-nan", "rho-above-1", "score_info-gamma-nan",
+            "score_info-gamma-word", "score_info-gamma-null-entry", "rho-null", "refs-n0-null",
             "refs-ridge-word", "refs-centered-string"])
-    def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, raw):
+    def test_wrong_json_type_exits_2(self, tmp_path, capsys, monkeypatch, key, raw):
+        from mi_audit import game
+
+        crafted = []
+        monkeypatch.setattr(game, "_craft_rounds", lambda *args: crafted.append(1))
         cfg = write_json(tmp_path / "cfg.json", raw)
         assert main(["simulate", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
         assert re.search(rf"\b{re.escape(key)}\b", msg["message"])
+        assert crafted == []
         assert not (tmp_path / "o").exists()
 
     def test_invalid_json_exits_2(self, tmp_path, capsys):

@@ -436,8 +436,22 @@ class TestScoreTranscript:
             calls["t"] += 1
             return 0.0
 
-        with pytest.raises(ValueError, match=r"round 3: bad moment"):
+        with pytest.raises(ValueError, match=r"round 3: bad moment") as err:
             score_transcript(tr, flaky, z)
+        assert type(err.value) is ConfigError
+        assert type(err.value.__cause__) is ValueError
+        assert str(err.value.__cause__) == "bad moment"
+
+    def test_other_score_error_is_numerical_and_names_the_round(self, tiny_dist):
+        z = np.ones(tiny_dist.d)
+        tr = run_crafter(tiny_dist, EmpiricalMean(), 4, z, 6, 46)
+
+        def broken(o, zz):
+            return 1.0 / 0.0
+
+        with pytest.raises(NumericalError, match=r"^round 0: float division by zero$") as err:
+            score_transcript(tr, broken, z)
+        assert type(err.value.__cause__) is ZeroDivisionError
 
     def test_nan_score_is_rejected(self, tiny_dist):
         z = np.ones(tiny_dist.d)

@@ -55,6 +55,11 @@ class TestOracleMoments:
         with pytest.raises(ValueError):
             OracleMoments(np.zeros(2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_variance(self, bad):
+        with pytest.raises(ValueError, match="sigma2 must be finite and > 0"):
+            OracleMoments(np.zeros(2), np.array([1.0, bad]))
+
     def test_is_the_ridge_free_diagonal_case_of_reference_estimates(self, small_dist, om):
         assert isinstance(om, ReferenceEstimates)
         assert om.is_diagonal and om.ridge == 0.0 and om.n0 is None
@@ -316,6 +321,14 @@ class TestNoisyScore:
             lr_noisy(half, half, om, -0.1, 15)
         with pytest.raises(ValueError, match="gamma must be >= 0"):
             make_score("lr_noisy", dist=small_dist, n=15, gamma=-0.1)
+
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf"), [float("nan")]])
+    def test_non_finite_gamma_rejected_when_called_and_when_bound(self, small_dist, om, gamma):
+        half = np.full(small_dist.d, 0.5)
+        with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+            lr_noisy(half, half, om, gamma, 15)
+        with pytest.raises(ValueError, match="gamma must be >= 0 and finite"):
+            make_score("lr_noisy", dist=small_dist, n=15, gamma=gamma)
 
 
 class TestSubsampledScore:

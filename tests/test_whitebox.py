@@ -502,7 +502,7 @@ class TestStackedGameAgainstPerRepCode:
         }
         assert {b for _, b in want["covariance"]} == {0, 1}
         for per_chunk in (1, 3, reps):
-            monkeypatch.setattr(whitebox, "_CHUNK_FLOATS", per_chunk * batch * model.d_p)
+            monkeypatch.setattr("mi_audit.game._CHUNK_FLOATS", per_chunk * batch * model.d_p)
             for threads in (1, 3):
                 # the chunk size is no argument of the game, so the slot
                 # must not hold this game from the last chunk size
