@@ -11,11 +11,12 @@ target record.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Sequence, Union
 
 import numpy as np
 
-from ._util import ConfigError, as_vector, config_value
+from ._util import ConfigError, as_vector, config_checked, config_value
 from .score import OracleMoments
 
 __all__ = [
@@ -179,10 +180,12 @@ class ProductDistribution:
                     where = f"dist.columns.{i}"
                     law = config_value(col, "law", str, where=where)
                     if law == "bernoulli":
-                        laws.append(Bernoulli(config_value(col, "p", float, where=where)))
+                        laws.append(config_checked(Bernoulli, col, "p", float, where=where))
                     elif law == "gaussian":
-                        laws.append(Gaussian(config_value(col, "mean", float, where=where),
-                                             config_value(col, "var", float, where=where)))
+                        # any float is a mean; the law checks the variance
+                        mean = config_value(col, "mean", float, where=where)
+                        laws.append(config_checked(functools.partial(Gaussian, mean), col,
+                                                   "var", float, where=where))
                     else:
                         raise ConfigError(f"unknown column law: {law!r}")
                 return cls(laws)

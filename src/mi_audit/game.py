@@ -15,19 +15,21 @@ therefore independent of execution order and thread count, and a fixed seed
 yields bit-identical transcripts everywhere.
 
 Every game, white-box ones too, plays its rounds through one chunk loop,
-_play_chunks, in chunks of at most _CHUNK_FLOATS floats of the game's
-largest per-round block, or of one round, at least one chunk per worker and
-as even as that allows, run in order, on a pool when threads >= 2. A chunk
-makes the draws of its rounds one round at a time, each on that round's own
-(s, t) stream, then computes on arrays with no generator in hand: it
-finishes, scores and keeps the whole chunk. Chunks group the arithmetic,
-never the randomness: every element is computed as the one-round path
-computes it, so neither the chunk size nor the worker count changes a bit.
+_play_chunks, in chunks of at most _CHUNK_FLOATS floats of the blocks the
+game allocates afresh for each round (for a white-box rep, at each SGD
+step), or of one round, at least one chunk per worker and as even as that
+allows, run in order, on a pool when threads >= 2. A chunk makes the draws
+of its rounds one round at a time, each on that round's own (s, t) stream,
+then computes on arrays with no generator in hand: it finishes, scores and
+keeps the whole chunk. Chunks group the arithmetic, never the randomness:
+every element is computed as the one-round path computes it, so neither the
+chunk size nor the worker count changes a bit.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -143,6 +145,13 @@ class GameConfig:
         """
         dist = ProductDistribution.from_spec(config_value(obj, "dist", dict))
         mech = mechanism_from_spec(config_value(obj, "mechanism", dict))
+        # each gamma vector must fit d before any round is crafted
+        fits = functools.partial(_noise_scales, d=dist.d)
+        if isinstance(mech, NoisyMean):
+            try:
+                fits(mech.gamma)
+            except ValueError as e:
+                raise ConfigError(f"mechanism.gamma: {e}") from e
         n = config_value(obj, "n", int)
         z = target_from_spec(config_value(obj, "target", object), dist)
         score_name = config_value(obj, "score", str)
@@ -156,7 +165,7 @@ class GameConfig:
                 kwargs[key] = target_from_spec(info[key], dist, f"score_info.{key}")
         if "gamma" in info:
             kind = list if isinstance(info["gamma"], list) else float
-            kwargs["gamma"] = config_checked(_noise_scales, info, "gamma", kind,
+            kwargs["gamma"] = config_checked(fits, info, "gamma", kind,
                                              where="score_info")
         if "rho" in info:
             kwargs["rho"] = config_value(info, "rho", float, where="score_info")
@@ -304,12 +313,18 @@ def _resolve_threads(threads: int | None) -> int:
     return threads
 
 
-# Float64 entries in the largest block a chunk of a game works on: a chunk
-# of crafted rounds is (rounds, d), a chunk of white-box reps' per-example
-# gradients (reps, batch_size, d_p). 128 KiB is glibc's default mmap
-# threshold, so the temporaries of every chunk reuse heap memory instead
-# of mapping and faulting in fresh pages. On the benchmark's white-box
-# shape, chunks of 1 MiB trained about a fifth slower.
+# Float64 entries in the blocks a chunk of a game allocates afresh for each
+# round: a chunk of crafted rounds is (rounds, d), and each SGD step of a
+# chunk of white-box reps allocates (c, reps, batch_size) logits and error
+# signals and a (reps, d_p) update. 128 KiB is glibc's default mmap
+# threshold, so those blocks reuse heap memory instead of mapping and
+# faulting in fresh pages at every step. On the benchmark's white-box shape
+# (f=10, c=2, batches of 64), a 400-rep game trained about a quarter slower
+# as one chunk of 1 MiB than in chunks of 100 reps. The blocks that _sgd
+# reuses from step to step, batch_size * (f + d_p + 1) + d_p entries a rep,
+# are allocated once per chunk: at most (f + 1) * (1 + 1 / c) times this
+# budget a worker, or one rep's worth. That is 2.1 MiB at the benchmark's
+# shape, of which its 50-rep games use 0.85 MB.
 _CHUNK_FLOATS = 1 << 14
 
 

@@ -95,14 +95,17 @@ class _ColumnMean:
         return out
 
 
-def _noise_scales(gamma) -> np.ndarray:
+def _noise_scales(gamma, d: int | None = None) -> np.ndarray:
     """``gamma`` as a float array of noise scales, a scalar or a vector of
-    them, each finite and >= 0."""
+    them, each finite and >= 0. With ``d`` given, a vector has 1 or d
+    entries."""
     g = np.asarray(gamma, dtype=np.float64)
     if g.ndim > 1:
         raise ValueError(f"gamma must be a scalar or 1-D vector, got shape {g.shape}")
     if not np.all((g >= 0) & (g < np.inf)):  # written so that NaN fails it
         raise ValueError("gamma must be >= 0 and finite component-wise")
+    if d is not None and g.ndim == 1 and g.shape[0] not in (1, d):
+        raise ValueError(f"gamma has length {g.shape[0]} but the dataset has {d} columns")
     return g
 
 
@@ -139,11 +142,7 @@ class NoisyMean(_ColumnMean):
 
     def _noise_scale(self, d: int, n: int):
         # checked before anything is drawn
-        if self.gamma.shape[0] not in (1, d):
-            raise ValueError(
-                f"gamma has length {self.gamma.shape[0]} but the dataset has {d} columns"
-            )
-        return self.gamma / np.sqrt(n)
+        return _noise_scales(self.gamma, d) / np.sqrt(n)
 
 
 @dataclasses.dataclass(frozen=True)

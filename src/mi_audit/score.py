@@ -301,7 +301,7 @@ def _targets(z, mu_hat: np.ndarray, d: int) -> np.ndarray:
 
 def _noise_inflated(om: OracleMoments, gamma) -> OracleMoments:
     # the moments of a mean released with N(0, gamma^2) noise per coordinate
-    g = _noise_scales(gamma)
+    g = _noise_scales(gamma, om.sigma2.shape[0])
     return OracleMoments(om.mu, om.sigma2 + np.broadcast_to(np.square(g), om.sigma2.shape))
 
 

@@ -122,11 +122,14 @@ class ToyModel:
         labels = self._check_labels(np.atleast_1d(y))
         return self._grads(X[None], labels[None], theta[None])[:, 0]
 
-    def _grads(self, X: np.ndarray, labels: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    def _grads(self, X: np.ndarray, labels: np.ndarray, theta: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
         """grad_batch without its checks, for R runs at once, batch-first:
         X is (R, m, f) float rows, or (1, m, f) rows that every run shares,
         labels (R or 1, m) have passed _check_labels, theta is (R, d_p), and
         the result is (m, R, d_p), run r's gradient of example i at [i, r].
+        It is written to ``out`` if given, a C-contiguous float block of
+        that shape, else to a new array.
 
         Each run's logits come from its own (m, f) @ (f, c) product inside
         one stacked matmul, so a stack of runs gets, bit for bit, the
@@ -156,7 +159,7 @@ class ToyModel:
         c, R, m = deltas.shape
         f = self.f
         rows = X.transpose(1, 0, 2)
-        grads = np.empty((m, R, self.d_p))
+        grads = np.empty((m, R, self.d_p)) if out is None else out
         for k in range(c):
             np.multiply(deltas[k].T[..., None], rows, out=grads[..., k * f : (k + 1) * f])
         grads[..., c * f :] = deltas.transpose(2, 1, 0)
@@ -321,24 +324,38 @@ def _sgd(model, X, labels, schedule, normals, eta, clip, noise, swap=None, targe
     each gathered batch instead of a copy of X per run. Returns every
     iterate, (R, steps + 1, d_p). Each step keeps the per-run operation
     order, so run r's iterates equal, bit for bit, those of a run alone.
+
+    The gathered batch rows and labels, the (batch_size, R, d_p)
+    per-example gradients and their batch mean are allocated once per call
+    and rewritten at every step. Afresh, a step allocates per run its
+    class-major logits and error signals, c * batch_size floats each, a few
+    temporaries of their size or smaller, and its update, d_p floats.
     """
     runs, steps, batch_size = schedule.shape
     thetas = np.empty((runs, steps + 1, model.d_p))
     theta = np.repeat(model.theta[None, :], runs, axis=0)
     thetas[:, 0] = theta
+    X_b = np.empty((runs, batch_size, X.shape[1]))
+    y_b = np.empty((runs, batch_size), dtype=labels.dtype)
+    grads = np.empty((batch_size, runs, model.d_p))
+    mean = np.empty((runs, model.d_p))
     for k in range(steps):
         batch = schedule[:, k]
-        X_b, y_b = np.take(X, batch, axis=0), np.take(labels, batch)
+        # the draws hold valid rows only, so "clip" gathers what "raise"
+        # does, without the copy that "raise" makes of an out argument
+        np.take(X, batch, axis=0, out=X_b, mode="clip")
+        np.take(labels, batch, out=y_b, mode="clip")
         if swap is not None:
             hit = batch == swap[:, None]
             X_b[hit] = target[0]
             y_b[hit] = target[1]
-        grads = model._grads(X_b, y_b, theta)
+        model._grads(X_b, y_b, theta, out=grads)
         if clip is not None and np.isfinite(clip):
             norms = np.linalg.norm(grads, axis=-1)
             grads *= np.minimum(1.0, clip / np.maximum(norms, 1e-300))[..., None]
         # the rows in order, as mean(axis=-2) adds them in (R, m, d_p)
-        g = np.add.reduce(grads, axis=0) / batch_size
+        g = np.add.reduce(grads, axis=0, out=mean)
+        g /= batch_size
         if noise:
             g = g + normals[:, k] * (noise * clip)
         theta = theta - eta * g
@@ -475,11 +492,11 @@ def run_whitebox_game(
     last one only in ``attack`` trains nothing and returns that game's
     other column; a call that raises leaves the slot as it was. A caller
     that plays one attack alone pays for scoring the other as well. At
-    f=10, c=2 and eight steps of 64 rows, on a shared 2-vCPU VM, a rep
-    spent about 130 us drawing and training, 24 us scoring the covariance
-    attack and 2.3 us scoring the scalar one: a covariance game alone costs
-    about 1.5 % more, and a scalar game alone about 18 % more, than
-    scoring its own attack only.
+    f=10, c=2 and eight steps of 64 rows, 50 reps in one chunk, on a shared
+    2-vCPU VM, a rep spent about 80 us drawing and training, 18 us scoring
+    the covariance attack and 0.75 us scoring the scalar one: a covariance
+    game alone costs under 1 % more, and a scalar game alone about 22 %
+    more, than scoring its own attack only.
     """
     global _last_game
     sl = _check_attack(model.d_p, refs, attack, param_slice)
@@ -546,9 +563,12 @@ def _play_reps(model, X, labels, target, refs, sl, *, eta, batch_size, reps, mas
 
     Rep r draws its coin, on heads the row the target replaces, then its
     _draws, on round_stream(master_seed, r). The reps are played by
-    game._play_chunks, a rep holding its per-example gradients, the largest
-    per-step buffer of _sgd. One _sgd call trains a chunk, one _grad_path
-    call differentiates its traces and one _score_traces call scores them.
+    game._play_chunks, a rep counting the floats that each step of _sgd
+    allocates afresh for it, c * batch_size + d_p, and not the blocks _sgd
+    reuses from step to step. At f=10, c=2 and batches of 64 that is 150
+    floats, so a chunk holds up to 109 reps. One _sgd call trains a chunk,
+    one _grad_path call differentiates its traces and one _score_traces
+    call scores them.
     """
     n = X.shape[0]
 
@@ -565,7 +585,8 @@ def _play_reps(model, X, labels, target, refs, sl, *, eta, batch_size, reps, mas
                                   sl)
         return swap >= 0
 
-    return _play_chunks(reps, master_seed, threads, batch_size * model.d_p, len(_ATTACKS), body)
+    return _play_chunks(reps, master_seed, threads, model.c * batch_size + model.d_p,
+                        len(_ATTACKS), body)
 
 
 def make_blobs(n: int, f: int, c: int, *, center_scale: float = 2.0, spread: float = 1.0, seed=0):

@@ -348,6 +348,15 @@ class TestSimulate:
                                   score_info={"gamma": float("nan")})),
         ("score_info.gamma", dict(GAME_CFG, score="lr_noisy", score_info={"gamma": "abc"})),
         ("score_info.gamma", dict(GAME_CFG, score="lr_noisy", score_info={"gamma": [None]})),
+        ("mechanism.gamma", dict(GAME_CFG, mechanism={"mechanism": "noisy_mean",
+                                                      "gamma": [0.1, 0.2]})),
+        ("score_info.gamma", dict(GAME_CFG, score="lr_noisy",
+                                  score_info={"gamma": [0.1, 0.2]})),
+        ("dist.columns.0.p", dict(GAME_CFG, dist={"columns": [{"law": "bernoulli", "p": 1.5}]},
+                                  target={"values": [1.0]})),
+        ("dist.columns.1.var", dict(GAME_CFG, dist={"columns": [
+            {"law": "bernoulli", "p": 0.5}, {"law": "gaussian", "mean": 0.0, "var": 0.0}]},
+                                    target={"values": [1.0, 0.0]})),
         ("score_info.rho", dict(GAME_CFG, score_info={"rho": None})),
         ("score_info.refs.n0", dict(REFS_CFG, score_info={"refs": {"n0": None, "seed": 9}})),
         ("score_info.refs.ridge",
@@ -357,8 +366,9 @@ class TestSimulate:
     ], ids=["mechanism", "score_info", "refs", "dist", "config", "n-null", "rounds-null",
             "draw_seed-null", "values-null", "gamma-null", "gamma_scalar-nan", "gamma-inf",
             "gamma-word", "rho-nan", "rho-above-1", "score_info-gamma-nan",
-            "score_info-gamma-word", "score_info-gamma-null-entry", "rho-null", "refs-n0-null",
-            "refs-ridge-word", "refs-centered-string"])
+            "score_info-gamma-word", "score_info-gamma-null-entry", "gamma-length-2",
+            "score_info-gamma-length-2", "column-p-above-1", "column-var-0", "rho-null",
+            "refs-n0-null", "refs-ridge-word", "refs-centered-string"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, monkeypatch, key, raw):
         from mi_audit import game
 

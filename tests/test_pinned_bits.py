@@ -87,6 +87,32 @@ WHITEBOX_DIGESTS = {
     "whitebox.json": "d32f0bb0e10f2413e9e7594a76c611937730440f55016c6b0bffc664dbedf953",
 }
 
+# the benchmark's white-box shape (f=10, c=2, eight steps of 64 rows) with
+# enough reps that a game trains in two or more chunks
+CANARY_CFG = {
+    "data": {"blobs": {"n": 512, "f": 10, "c": 2, "seed": 8}},
+    "arch": "logistic",
+    "theta0": {"seed": 9, "scale": 0.5},
+    "eta": 0.01,
+    "batch_size": 64,
+    "reps": 250,
+    "master_seed": 12,
+    "cov_mode": "full",
+}
+CANARY_CASES = {"plain": CANARY_CFG, "clip-noise": dict(CANARY_CFG, clip=1.0, noise=0.05)}
+CANARY_DIGESTS = {
+    "plain": {
+        "scores_covariance.csv": "501c48d9f1942122e98e64a199c14ae83457286d8c484fb974a15e09c472fa8f",
+        "scores_scalar.csv": "bb93057c99e74b8f3880b04219f1dcaaee21df25d88d96d62e84787f5c692c23",
+        "whitebox.json": "744f6fe1a7798ad96f7b7146d0b13c220be143d3d73ebcfe508446abc73bae89",
+    },
+    "clip-noise": {
+        "scores_covariance.csv": "d47a96cd85ff5861c38596afb7b44086a8235815d7146e27b0ba68feda4db3ab",
+        "scores_scalar.csv": "d141f546d6934d5f6a17c194802119a44413f134e08b434c6621977d569baba9",
+        "whitebox.json": "b5acc8a871d5549d7620c1e8dd53180abddd26c73efd6a056d69dae23a258dfb",
+    },
+}
+
 AVERAGE_DIGESTS = {
     "scores": "6711fe5e594113c371e692724c601c8ac82425387dc224008b6e47875dfb9027",
     "bits": "0a9aa8e02d6445f40dfdbc81e5d4a9b3eb0d990268ca86040bc4b7fcaaeb119c",
@@ -119,6 +145,16 @@ def test_whitebox_artifacts(tmp_path, threads):
     out = tmp_path / "out"
     assert main(["whitebox", "--config", str(cfg), "--threads", threads, "-o", str(out)]) == 0
     _check_files(out, WHITEBOX_DIGESTS)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("case", list(CANARY_CASES))
+def test_whitebox_artifacts_in_several_chunks(tmp_path, case, threads):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CANARY_CASES[case]))
+    out = tmp_path / "out"
+    assert main(["whitebox", "--config", str(cfg), "--threads", threads, "-o", str(out)]) == 0
+    _check_files(out, CANARY_DIGESTS[case])
 
 
 @pytest.mark.parametrize("threads", [None, 3])

@@ -502,7 +502,8 @@ class TestStackedGameAgainstPerRepCode:
         }
         assert {b for _, b in want["covariance"]} == {0, 1}
         for per_chunk in (1, 3, reps):
-            monkeypatch.setattr("mi_audit.game._CHUNK_FLOATS", per_chunk * batch * model.d_p)
+            monkeypatch.setattr("mi_audit.game._CHUNK_FLOATS",
+                                per_chunk * (model.c * batch + model.d_p))
             for threads in (1, 3):
                 # the chunk size is no argument of the game, so the slot
                 # must not hold this game from the last chunk size
@@ -520,6 +521,37 @@ class TestStackedGameAgainstPerRepCode:
                     assert sum(sgd_runs) == trained
                     if trained and threads == 1:
                         assert max(sgd_runs) == per_chunk
+
+    def test_every_step_writes_one_gradient_block(self, monkeypatch):
+        # a chunk's steps reuse one (batch, reps, d_p) block; the traces'
+        # target gradients, taken after training, get a block of their own
+        model, X, y, target, sgd, param_slice, refs = exact_case(
+            "logistic-c3-two-epochs-clip-noise")
+        blocks = []
+        real = ToyModel._grads
+
+        def recording(self, X, labels, theta, out=None):
+            blocks.append(out)
+            return real(self, X, labels, theta, out)
+
+        monkeypatch.setattr(ToyModel, "_grads", recording)
+        monkeypatch.setattr(whitebox, "_last_game", None)
+        run_whitebox_game(model, X, y, target, batch_size=7, refs=refs, attack="covariance",
+                          reps=5, master_seed=19, param_slice=param_slice, threads=1, **sgd)
+        steps = 2 * (len(X) // 7)
+        assert len(blocks) == steps + 1 and blocks[steps] is None
+        assert blocks[0].shape == (7, 5, model.d_p)
+        assert all(block is blocks[0] for block in blocks[:steps])
+
+    def test_benchmark_shape_trains_fifty_reps_as_one_chunk(self, sgd_runs):
+        # f=10, c=2 and batches of 64: a rep's fresh per-step floats are its
+        # class-major logits and its update, 2 * 64 + 22
+        X, y = make_blobs(513, 10, 2, seed=31)
+        model = ToyModel("logistic", f=10, c=2)
+        refs = estimate_reference(reference_gradients(model, X[1:], y[1:]), cov_mode="full")
+        run_whitebox_game(model, X[1:], y[1:], (X[0], y[0]), eta=0.01, batch_size=64,
+                          refs=refs, attack="scalar", reps=50, master_seed=32, threads=1)
+        assert sgd_runs == [50]
 
 
 class TestLastGame:
