@@ -26,12 +26,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._util import ConfigError, NumericalError, config_value
+from ._util import ConfigError, NumericalError, config_checked, config_value
 from .canary import _mahalanobis_rows, estimate_reference
-from .dist import ProductDistribution, target_from_spec
-from .game import GameConfig, _advantage, _play_fixed_game, _roc
-from .mech import mechanism_from_spec
+from .game import GameConfig, _advantage, _play_fixed_game, _read_model, _roc
 from .theory import (
+    _check_epsilon,
     _check_monotone,
     effective_leakage,
     polyline_gap,
@@ -72,9 +71,13 @@ def _load_config(path: str) -> dict:
 
 
 def _write_json(path: str, obj) -> None:
+    # JSON has no NaN or Infinity: one is a numerical failure, and no file
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as e:
+        raise NumericalError(f"{os.path.basename(path)}: {e}") from e
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
 
 
 def _write_csv(path: str, header: str, fmt: str, rows) -> None:
@@ -86,10 +89,17 @@ def _write_csv(path: str, header: str, fmt: str, rows) -> None:
 
 
 def _load_matrix_csv(path: str, skiprows: int = 0) -> np.ndarray:
+    # every entry finite: a NaN or inf would reach the artifacts
     try:
-        return np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
+        mat = np.loadtxt(path, delimiter=",", skiprows=skiprows, ndmin=2)
     except (OSError, ValueError) as e:
         raise ConfigError(f"could not read numeric CSV {path}: {e}") from e
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        r, c = bad[0]
+        raise ConfigError(f"{path}: data row {r + 1}, column {c + 1} is {mat[r, c]}; "
+                          "every entry must be finite")
+    return mat
 
 
 def _load_curve_csv(path: str) -> np.ndarray:
@@ -119,13 +129,16 @@ def _out_dir(args) -> str:
     return args.out_dir
 
 
-def _theory_fields(curve) -> dict:
-    # A subsampled release is compared against the inclusion mixture, so
-    # its artifacts name the mixture's two parameters. Other mechanisms
-    # keep their fields unchanged.
-    if curve.q == 1.0:
-        return {}
-    return {"inclusion_probability": curve.q, "m_in": curve.m_eff}
+def _model_fields(dist, mech, n: int, z, num: int):
+    """The trade-off curve of a game's model on ``num`` points, and the
+    fields that theory and simulate both write for it. A subsampled release
+    is compared against the inclusion mixture, so its fields also name the
+    mixture's two parameters."""
+    curve = tradeoff_curve(dist, z, n, mech, num)
+    fields = {"m_star": dist.leakage_score(z, n), "m_eff": effective_leakage(dist, z, n, mech)}
+    if curve.q != 1.0:
+        fields.update(inclusion_probability=curve.q, m_in=curve.m_eff)
+    return curve, fields
 
 
 def _meta(config_hash: str, master_seed) -> dict:
@@ -141,18 +154,14 @@ def _meta(config_hash: str, master_seed) -> dict:
 
 def cmd_theory(args) -> int:
     cfg = _load_config(args.config)
-    dist = ProductDistribution.from_spec(config_value(cfg, "dist", dict))
-    z = target_from_spec(config_value(cfg, "target", object), dist)
-    n = config_value(cfg, "n", int)
-    mech = config_value(cfg, "mechanism", dict, None)
-    mech = None if mech is None else mechanism_from_spec(mech)
+    # the model simulate reads, with the mechanism optional
+    dist, mech, n, z = _read_model(cfg, None)
     grid_points = config_value(cfg, "grid_points", int, 512)
     eps = config_value(cfg, "epsilons", list, np.arange(0.0, 5.01, 0.5))
-    epsilons = [config_value(eps, i, float, where="epsilons") for i in range(len(eps))]
+    epsilons = [config_checked(_check_epsilon, eps, i, float, where="epsilons")
+                for i in range(len(eps))]
 
-    m_star = dist.leakage_score(z, n)
-    m_eff = effective_leakage(dist, z, n, mech)
-    curve = tradeoff_curve(dist, z, n, mech, grid_points)
+    curve, fields = _model_fields(dist, mech, n, z, grid_points)
     out = _out_dir(args)
     _write_csv(
         os.path.join(out, "tradeoff.csv"),
@@ -163,15 +172,13 @@ def cmd_theory(args) -> int:
     profile = _meta(_run_hash(cfg), None)
     profile.update(
         {
-            "m_star": m_star,
-            "m_eff": m_eff,
+            **fields,
             "leakage": curve.leakage(),
             "grid_points": grid_points,
             "gdp": [
                 {"eps": e, "delta": curve.delta(e) if curve.m_eff > 0 else 0.0}
                 for e in epsilons
             ],
-            **_theory_fields(curve),
         }
     )
     _write_json(os.path.join(out, "profile.json"), profile)
@@ -187,9 +194,7 @@ def cmd_simulate(args) -> int:
 
     scores, bits = _play_fixed_game(cfg)
     curve = _roc(scores, bits)
-    m_star = cfg.dist.leakage_score(cfg.z, cfg.n)
-    m_eff = effective_leakage(cfg.dist, cfg.z, cfg.n, cfg.mech)
-    theory = tradeoff_curve(cfg.dist, cfg.z, cfg.n, cfg.mech, 512)
+    theory, fields = _model_fields(cfg.dist, cfg.mech, cfg.n, cfg.z, 512)
     floor = min(1.0, 10.0 / max(1, min(int((bits == 0).sum()), int((bits == 1).sum()))))
 
     out = _out_dir(args)
@@ -205,8 +210,7 @@ def cmd_simulate(args) -> int:
     summary = _meta(_run_hash(raw), cfg.master_seed)
     summary.update(
         {
-            "m_star": m_star,
-            "m_eff": m_eff,
+            **fields,
             "auc": curve.auc,
             "advantage_at_bayes_threshold": _advantage(scores, bits, 0.0),
             "advantage_best_threshold": curve.best_advantage(),
@@ -219,7 +223,6 @@ def cmd_simulate(args) -> int:
             "d": cfg.dist.d,
             "score": cfg.score_name,
             "theory_alpha_grid": 512,
-            **_theory_fields(theory),
         }
     )
     _write_json(os.path.join(out, "summary.json"), summary)
@@ -309,7 +312,7 @@ def cmd_whitebox(args) -> int:
         X, y = mat[:, :-1], mat[:, -1]
         classes = 1
         if arch == "logistic":
-            if not np.all(np.isfinite(y) & (y >= 0) & (y == np.floor(y))):
+            if not np.all((y >= 0) & (y == np.floor(y))):
                 raise ConfigError("logistic labels in the data CSV must be integers >= 0")
             y = y.astype(np.int64)
             # the model gets max(label) + 1 classes, so every one must occur

@@ -1,18 +1,18 @@
 """Column-wise independent data-generating distributions.
 
 A :class:`ProductDistribution` is a product of one-dimensional column laws
-(Bernoulli or Gaussian). It owns the mean vector ``mu`` and the diagonal
-covariance ``sigma2`` that every attack score and closed-form leakage
-formula is built on, and it knows how to sample datasets or only their
-column sums, and how to measure the Mahalanobis geometry of a candidate
-target record.
+(Bernoulli or Gaussian). It holds the mean vector ``mu`` and the diagonal
+covariance ``sigma2`` in one :class:`~mi_audit.score.OracleMoments`, which
+every attack score and closed-form leakage formula reads, and it knows how
+to sample datasets or only their column sums, and how to measure the
+Mahalanobis geometry of a candidate target record.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from typing import Sequence, Union
+from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +39,8 @@ class Bernoulli:
     """
 
     p: float
+    # whether the column takes values in {0, 1} alone
+    binary: ClassVar[bool] = True
 
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
@@ -55,14 +57,18 @@ class Bernoulli:
 
 @dataclasses.dataclass(frozen=True)
 class Gaussian:
-    """Gaussian column law with strictly positive variance."""
+    """Gaussian column law with a finite mean and a finite, positive variance."""
 
     mean: float
     var: float
+    binary: ClassVar[bool] = False
 
     def __post_init__(self):
-        if not self.var > 0.0:
-            raise ValueError(f"Gaussian var must be > 0, got {self.var}")
+        # both bounds written so that NaN fails them
+        if not -np.inf < self.mean < np.inf:
+            raise ValueError(f"Gaussian mean must be finite, got {self.mean}")
+        if not 0.0 < self.var < np.inf:
+            raise ValueError(f"Gaussian var must be finite and > 0, got {self.var}")
 
 
 ColumnLaw = Union[Bernoulli, Gaussian]
@@ -101,34 +107,18 @@ class ProductDistribution:
         columns = tuple(columns)
         if len(columns) < 1:
             raise ValueError("need at least one column")
-        for c in columns:
-            if not isinstance(c, (Bernoulli, Gaussian)):
-                raise TypeError(f"unsupported column law: {c!r}")
         self._columns = columns
-        mu = np.array(
-            [c.mean if isinstance(c, Gaussian) else c.p for c in columns], dtype=np.float64
-        )
-        sigma2 = np.array(
-            [c.var if isinstance(c, Gaussian) else c.p * (1.0 - c.p) for c in columns],
-            dtype=np.float64,
-        )
-        mu.flags.writeable = False
-        sigma2.flags.writeable = False
-        self._mu = mu
-        self._sigma2 = sigma2
-        self._om = OracleMoments(mu, sigma2)
-        self._all_bernoulli = all(isinstance(c, Bernoulli) for c in columns)
+        # the one copy of the moments: scores and closed forms read it
+        self._om = om = OracleMoments([c.mean for c in columns], [c.var for c in columns])
+        binary = np.array([c.binary for c in columns])
+        self._all_bernoulli = bool(binary.all())
         if self._all_bernoulli:
-            self._p32 = mu.astype(np.float32)
-        self._bern = np.array(
-            [i for i, c in enumerate(columns) if isinstance(c, Bernoulli)], dtype=np.intp
-        )
-        self._gauss = np.array(
-            [i for i, c in enumerate(columns) if isinstance(c, Gaussian)], dtype=np.intp
-        )
-        self._mu_bern = mu[self._bern]
-        self._mu_gauss = mu[self._gauss]
-        self._gauss_sd = np.sqrt(sigma2[self._gauss])
+            self._p32 = om.mu.astype(np.float32)
+        self._bern = np.flatnonzero(binary)
+        self._gauss = np.flatnonzero(~binary)
+        self._mu_bern = om.mu[self._bern]
+        self._mu_gauss = om.mu[self._gauss]
+        self._gauss_sd = np.sqrt(om.sigma2[self._gauss])
 
     # -- construction helpers -------------------------------------------------
 
@@ -182,8 +172,9 @@ class ProductDistribution:
                     if law == "bernoulli":
                         laws.append(config_checked(Bernoulli, col, "p", float, where=where))
                     elif law == "gaussian":
-                        # any float is a mean; the law checks the variance
-                        mean = config_value(col, "mean", float, where=where)
+                        # the law checks each value, named as it is read
+                        mean = config_checked(functools.partial(Gaussian, var=1.0), col,
+                                              "mean", float, where=where).mean
                         laws.append(config_checked(functools.partial(Gaussian, mean), col,
                                                    "var", float, where=where))
                     else:
@@ -217,11 +208,9 @@ class ProductDistribution:
         return self._all_bernoulli
 
     def moments(self) -> tuple[np.ndarray, np.ndarray]:
-        """Return (mu, sigma2), the per-column mean and variance vectors.
-
-        The returned arrays are read-only views of cached state.
-        """
-        return self._mu, self._sigma2
+        """Return (mu, sigma2), the per-column mean and variance vectors:
+        the read-only arrays of the distribution's one OracleMoments."""
+        return self._om.mu, self._om.sigma2
 
     # -- sampling -------------------------------------------------------------
 
@@ -244,9 +233,9 @@ class ProductDistribution:
         out = np.empty((n, self.d), dtype=np.float64)
         bern, gauss = self._bern, self._gauss
         if bern.size:
-            out[:, bern] = rng.random((n, bern.size)) < self._mu[bern]
+            out[:, bern] = rng.random((n, bern.size)) < self._mu_bern
         if gauss.size:
-            out[:, gauss] = self._mu[gauss] + self._gauss_sd * rng.standard_normal((n, gauss.size))
+            out[:, gauss] = self._mu_gauss + self._gauss_sd * rng.standard_normal((n, gauss.size))
         return out
 
     def sample_sums(self, rows: int, rng: np.random.Generator) -> np.ndarray:
@@ -297,7 +286,7 @@ class ProductDistribution:
     def mahalanobis2(self, z) -> float:
         """Squared Mahalanobis distance of ``z`` from the distribution mean,
         sum_j (z_j - mu_j)^2 / sigma_j^2."""
-        return self._om.precision_quad(as_vector(z, self.d, "z") - self._mu)
+        return self._om.precision_quad(as_vector(z, self.d, "z") - self._om.mu)
 
     def leakage_score(self, z, n: int) -> float:
         """Per-record leakage score, mahalanobis2(z) / n.

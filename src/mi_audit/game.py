@@ -35,7 +35,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ._util import ConfigError, NumericalError, as_vector, config_checked, config_value
+from ._util import (_REQUIRED, ConfigError, NumericalError, as_vector, config_checked,
+                    config_value)
+from .canary import estimate_reference
 from .dist import ProductDistribution, target_from_spec
 from .mech import NoisyMean, _noise_scales, mechanism_from_spec
 from .score import SCORE_NAMES, make_score
@@ -99,6 +101,22 @@ class RocCurve:
         return float(np.max(np.abs(self.points[:, 1] - self.points[:, 0])))
 
 
+def _read_model(obj: dict, mech_default=_REQUIRED):
+    """(dist, mech, n, z) from a game config's dist, mechanism, n and target
+    keys, each checked, a gamma vector against d too, before any round is
+    crafted. No mechanism gives ``mech_default``, by default an error."""
+    dist = ProductDistribution.from_spec(config_value(obj, "dist", dict))
+    spec = config_value(obj, "mechanism", dict, mech_default)
+    mech = None if spec is None else mechanism_from_spec(spec)
+    if isinstance(mech, NoisyMean):
+        try:
+            _noise_scales(mech.gamma, dist.d)
+        except ValueError as e:
+            raise ConfigError(f"mechanism.gamma: {e}") from e
+    n = config_value(obj, "n", int)
+    return dist, mech, n, target_from_spec(config_value(obj, "target", object), dist)
+
+
 @dataclasses.dataclass
 class GameConfig:
     """Everything needed to run a fixed-target game.
@@ -143,17 +161,7 @@ class GameConfig:
         distribution itself via {"refs": {"n0": ..., "cov_mode": ...,
         "seed": ...}}.
         """
-        dist = ProductDistribution.from_spec(config_value(obj, "dist", dict))
-        mech = mechanism_from_spec(config_value(obj, "mechanism", dict))
-        # each gamma vector must fit d before any round is crafted
-        fits = functools.partial(_noise_scales, d=dist.d)
-        if isinstance(mech, NoisyMean):
-            try:
-                fits(mech.gamma)
-            except ValueError as e:
-                raise ConfigError(f"mechanism.gamma: {e}") from e
-        n = config_value(obj, "n", int)
-        z = target_from_spec(config_value(obj, "target", object), dist)
+        dist, mech, n, z = _read_model(obj)
         score_name = config_value(obj, "score", str)
         info = config_value(obj, "score_info", dict, {})
         unknown = set(info) - {"z_targ", "z_ref", "gamma", "rho", "refs"}
@@ -164,14 +172,13 @@ class GameConfig:
             if key in info:
                 kwargs[key] = target_from_spec(info[key], dist, f"score_info.{key}")
         if "gamma" in info:
+            # a gamma vector must fit d, as the mechanism's must
             kind = list if isinstance(info["gamma"], list) else float
-            kwargs["gamma"] = config_checked(fits, info, "gamma", kind,
-                                             where="score_info")
+            kwargs["gamma"] = config_checked(functools.partial(_noise_scales, d=dist.d), info,
+                                             "gamma", kind, where="score_info")
         if "rho" in info:
             kwargs["rho"] = config_value(info, "rho", float, where="score_info")
         if "refs" in info:
-            from .canary import estimate_reference
-
             spec = config_value(info, "refs", dict, where="score_info")
             unknown = set(spec) - {"n0", "seed", "cov_mode", "ridge", "centered"}
             if unknown:

@@ -82,6 +82,7 @@ class ReferenceEstimates:
                     "diagonal covariance not positive definite after ridge "
                     f"{self.ridge:g}: smallest eigenvalue {var.min():.6e}"
                 )
+            var.flags.writeable = False
             self._var = var
             self._chol = None
         elif c.ndim == 2:
@@ -153,21 +154,19 @@ class ReferenceEstimates:
         U and V, for one vector u, (d,), and every row of V, or for two
         vectors; V is U asks for the quadratic terms alone.
 
-        Each entry of a block is one np.vecdot of two vectors, which takes
-        the routine np.dot takes for them, so a row gets the same bits in a
-        block as alone (a mat-vec would sum in another order); two vectors
-        take np.dot itself, without the gufunc's dispatch. Each distinct
-        vector is whitened once.
+        Each entry is one np.vecdot of two vectors, which takes the routine
+        np.dot takes for them, so a row gets the same bits in a block as
+        alone (a mat-vec would sum in another order). Each distinct vector
+        is whitened once.
         """
-        dot = np.dot if V.ndim == 1 else np.vecdot
         if self._chol is None:
             W, right = U / self._var, U
         else:
             W = right = self._whiten(U)
-        quad = dot(W, right)
+        quad = np.vecdot(W, right)
         if V is U:
             return quad, quad
-        return dot(W, V if self._chol is None else self._whiten(V)), quad
+        return np.vecdot(W, V if self._chol is None else self._whiten(V)), quad
 
 
 class OracleMoments(ReferenceEstimates):
@@ -195,7 +194,8 @@ class OracleMoments(ReferenceEstimates):
 
     @classmethod
     def from_distribution(cls, dist) -> "OracleMoments":
-        return cls(*dist.moments())
+        """The distribution's own moments object, shared, not copied."""
+        return dist._om
 
 
 # -- score functions -----------------------------------------------------------
@@ -409,13 +409,12 @@ def make_score(
     if n < 1:
         raise ConfigError("n must be >= 1")
 
-    mu, _ = dist.moments()
     om = OracleMoments.from_distribution(dist)
 
     if name == "lr_exact_bernoulli":
         if not dist.all_bernoulli:
             raise ConfigError("lr_exact_bernoulli needs a distribution of Bernoulli columns")
-        return _bound(dist.d, lambda O, z: _exact_bernoulli(O, z, mu))
+        return _bound(dist.d, lambda O, z: _exact_bernoulli(O, z, om.mu))
     if name == "lr_asymptotic":
         return _bound(dist.d, lambda O, z: _lr(O, z, om, n))
     if name == "lr_empirical_cov":
@@ -423,7 +422,7 @@ def make_score(
             raise ConfigError("lr_empirical_cov needs reference estimates")
         return _bound(dist.d, lambda O, z: _lr(O, z, refs, n))
     if name == "scalar_product":
-        ref = mu if z_ref is None else as_vector(z_ref, dist.d, "z_ref")
+        ref = om.mu if z_ref is None else as_vector(z_ref, dist.d, "z_ref")
         return _bound(dist.d, lambda O, z: _scalar(O, z, ref))
     if name == "lr_noisy":
         if gamma is None and isinstance(mech, NoisyMean):

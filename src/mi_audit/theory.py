@@ -41,6 +41,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
 from ._util import as_vector
+from .mech import EmpiricalMean, NoisyMean, SubsampledMean
 from .score import OracleMoments, _noise_inflated
 
 __all__ = [
@@ -88,6 +89,20 @@ def phi_inv(p):
     return float(out) if np.ndim(p) == 0 else out
 
 
+def _check_score(m, name: str = "leakage score"):
+    # the one bound on a leakage score, written so that NaN fails it
+    if not m >= 0:
+        raise ValueError(f"{name} must be >= 0, got {m}")
+    return m
+
+
+def _check_epsilon(epsilon):
+    # the one bound on a privacy epsilon, written so that NaN fails it
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
+    return epsilon
+
+
 def _two_sided(x):
     # Phi(x) - Phi(-x); shared so that identities between formulas that are
     # algebraically equal also hold bit-for-bit.
@@ -101,9 +116,7 @@ def theoretical_leakage(m: float) -> float:
     between the two limiting score distributions. Zero at m = 0 and strictly
     increasing, approaching 1 as m grows.
     """
-    if m < 0:
-        raise ValueError(f"leakage score must be >= 0, got {m}")
-    return float(_two_sided(np.sqrt(m) / 2.0))
+    return float(_two_sided(np.sqrt(_check_score(m)) / 2.0))
 
 
 def theoretical_power(m, alpha):
@@ -112,10 +125,9 @@ def theoretical_power(m, alpha):
     Vectorized over alpha. At m = 0 the test is blind and power equals alpha.
 
     Raises:
-      ValueError: if m < 0 or alpha is outside [0, 1].
+      ValueError: if m is negative or NaN, or alpha is outside [0, 1].
     """
-    if m < 0:
-        raise ValueError(f"leakage score must be >= 0, got {m}")
+    _check_score(m)
     u = phi_inv(alpha)
     with np.errstate(invalid="ignore"):
         out = ndtr(u + np.sqrt(m))
@@ -131,8 +143,7 @@ def optimal_threshold(m: float, alpha: float) -> float:
     Guessing "present" when the log-likelihood-ratio score exceeds this value
     has asymptotic false-positive rate alpha.
     """
-    if m < 0:
-        raise ValueError(f"leakage score must be >= 0, got {m}")
+    _check_score(m)
     return float(-m / 2.0 + np.sqrt(m) * phi_inv(1.0 - alpha))
 
 
@@ -159,8 +170,7 @@ def subsampled_leakage_score(m: float, rho: float) -> float:
     trade-off curve of uniform k-of-n row subsampling, and it lies above the
     power cap rho + (1 - rho) * alpha that mechanism obeys. The curve of the
     mechanism is the mixture of subsampled_power (see tradeoff_curve)."""
-    if m < 0:
-        raise ValueError(f"leakage score must be >= 0, got {m}")
+    _check_score(m)
     if not 0.0 < rho <= 1.0:
         raise ValueError(f"subsampling rate must lie in (0, 1], got {rho}")
     return rho * m
@@ -174,11 +184,10 @@ def misspec_advantage(m_scal: float, m_targ: float) -> float:
     leakage score of the guess, the value is
     Phi(|m_scal| / (2 sqrt(m_targ))) - Phi(-|m_scal| / (2 sqrt(m_targ))).
     A guess with m_targ = 0 yields a constant score, so the advantage is 0
-    by convention.
+    by convention. m_scal may take either sign; its size is a score.
     """
-    if m_targ < 0:
-        raise ValueError(f"m_targ must be >= 0, got {m_targ}")
-    if m_targ == 0.0:
+    _check_score(abs(m_scal), "|m_scal|")
+    if _check_score(m_targ, "m_targ") == 0.0:
         return 0.0
     return float(_two_sided(abs(m_scal) / (2.0 * np.sqrt(m_targ))))
 
@@ -207,10 +216,9 @@ def gdp_delta(m: float, epsilon: float) -> float:
     epsilon underflows cleanly to 0 instead of producing inf * 0. The result
     is clamped to [0, 1].
     """
-    if m <= 0:
-        raise ValueError(f"leakage score must be > 0, got {m}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    if not _check_score(m) > 0:  # -eps / sqrt(m) has no value at m = 0
+        raise ValueError("gdp_delta needs a leakage score > 0, got 0")
+    _check_epsilon(epsilon)
     root = np.sqrt(m)
     a = ndtr(-epsilon / root + root / 2.0)
     b = np.exp(epsilon + log_ndtr(-epsilon / root - root / 2.0))
@@ -220,7 +228,7 @@ def gdp_delta(m: float, epsilon: float) -> float:
 def tv_gaussians(mu0: float, mu1: float, sigma: float) -> float:
     """Total variation distance between two normal laws with a shared
     standard deviation, Phi(|mu0 - mu1| / (2 sigma)) - Phi(-|mu0 - mu1| / (2 sigma))."""
-    if sigma <= 0:
+    if not sigma > 0:  # written so that NaN fails it
         raise ValueError(f"sigma must be > 0, got {sigma}")
     return float(_two_sided(abs(mu1 - mu0) / (2.0 * sigma)))
 
@@ -233,8 +241,6 @@ def effective_leakage(dist, z, n: int, mech=None) -> float:
     For the first two the Gaussian curve of this score is the mechanism's
     trade-off curve. For a subsampled mean it is not; use tradeoff_curve,
     which returns the inclusion mixture."""
-    from .mech import EmpiricalMean, NoisyMean, SubsampledMean
-
     m = dist.leakage_score(z, n)
     if mech is None or isinstance(mech, EmpiricalMean):
         return m
@@ -292,8 +298,7 @@ class TradeoffCurve:
     q: float = 1.0
 
     def __post_init__(self):
-        if self.m_eff < 0:
-            raise ValueError(f"m_eff must be >= 0, got {self.m_eff}")
+        _check_score(self.m_eff, "m_eff")
         _check_inclusion(self.q)
         a = np.asarray(self.alphas, dtype=np.float64)
         p = np.asarray(self.powers, dtype=np.float64)
@@ -346,8 +351,7 @@ class TradeoffCurve:
         """
         if self.q == 1.0:  # keep epsilon exact rather than log1p(expm1(epsilon))
             return gdp_delta(self.m_eff, epsilon)
-        if epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+        _check_epsilon(epsilon)
         return self.q * gdp_delta(self.m_eff, float(np.log1p(np.expm1(epsilon) / self.q)))
 
     def __eq__(self, other):
@@ -373,8 +377,6 @@ def tradeoff_curve(dist, z, n: int, mech=None, num: int = 512) -> TradeoffCurve:
     with probability q = k / n and the included release is an exact k-row
     mean with score dist.leakage_score(z, k); its curve is that mixture.
     """
-    from .mech import SubsampledMean
-
     if isinstance(mech, SubsampledMean):
         k = mech.k(n)
         return TradeoffCurve.from_leakage(dist.leakage_score(z, k), num, q=k / n)
@@ -416,9 +418,7 @@ def _closed_form(theory) -> tuple[float, float]:
     """(score, inclusion probability) of a leakage score or a TradeoffCurve."""
     if isinstance(theory, TradeoffCurve):
         return theory.m_eff, theory.q
-    if theory < 0:
-        raise ValueError(f"m_eff must be >= 0, got {theory}")
-    return float(theory), 1.0
+    return float(_check_score(theory, "m_eff")), 1.0
 
 
 def _theory_polyline(m_eff: float, q: float = 1.0, num: int = 4001) -> np.ndarray:

@@ -25,6 +25,7 @@ from mi_audit import (
     tradeoff_curve,
     vertical_gap,
 )
+from mi_audit import NumericalError, cli
 from mi_audit.cli import main
 
 
@@ -39,6 +40,14 @@ GAME_CFG = {
     "threads": 1,
 }
 REFS_CFG = dict(GAME_CFG, score="lr_empirical_cov")
+
+
+def gauss_cfg(**col):
+    """A config's dist and target keys for a Bernoulli column and a Gaussian
+    column whose spec takes ``col`` in place of its mean or var."""
+    gauss = dict({"law": "gaussian", "mean": 0.0, "var": 1.0}, **col)
+    return {"dist": {"columns": [{"law": "bernoulli", "p": 0.5}, gauss]},
+            "target": {"values": [1.0, 0.0]}}
 
 
 def write_json(path, obj):
@@ -143,8 +152,16 @@ class TestTheory:
         ("dist.columns.0.p", {"dist": {"columns": [{"law": "bernoulli", "p": [0.5]}]},
                               "target": [1.0]}),
         ("mechanism.rho", {"mechanism": {"mechanism": "subsampled_mean", "rho": None}}),
+        ("mechanism.gamma", {"mechanism": {"mechanism": "noisy_mean", "gamma": [0.1, 0.2]}}),
+        ("dist.columns.1.mean", gauss_cfg(mean="nan")),
+        ("dist.columns.1.var", gauss_cfg(var="inf")),
+        ("epsilons.1", {"epsilons": [0.5, "nan"]}),
+        ("epsilons.0", {"epsilons": [-1.0]}),
+        ("epsilons.2", {"epsilons": [0.0, 1.0, "inf"]}),
     ], ids=["mechanism-noisy", "dist-bernoulli", "grid_points-null", "epsilons-number",
-            "epsilons-null-entry", "dist-d-null", "column-p-list", "rho-null"])
+            "epsilons-null-entry", "dist-d-null", "column-p-list", "rho-null", "gamma-length-2",
+            "column-mean-nan", "column-var-inf", "epsilons-nan", "epsilons-negative",
+            "epsilons-inf"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, key, kw):
         cfg = write_json(tmp_path / "cfg.json", dict(GAME_CFG, **kw))
         assert main(["theory", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
@@ -354,9 +371,9 @@ class TestSimulate:
                                   score_info={"gamma": [0.1, 0.2]})),
         ("dist.columns.0.p", dict(GAME_CFG, dist={"columns": [{"law": "bernoulli", "p": 1.5}]},
                                   target={"values": [1.0]})),
-        ("dist.columns.1.var", dict(GAME_CFG, dist={"columns": [
-            {"law": "bernoulli", "p": 0.5}, {"law": "gaussian", "mean": 0.0, "var": 0.0}]},
-                                    target={"values": [1.0, 0.0]})),
+        ("dist.columns.1.var", dict(GAME_CFG, **gauss_cfg(var=0.0))),
+        ("dist.columns.1.mean", dict(GAME_CFG, **gauss_cfg(mean="nan"))),
+        ("dist.columns.1.var", dict(GAME_CFG, **gauss_cfg(var="inf"))),
         ("score_info.rho", dict(GAME_CFG, score_info={"rho": None})),
         ("score_info.refs.n0", dict(REFS_CFG, score_info={"refs": {"n0": None, "seed": 9}})),
         ("score_info.refs.ridge",
@@ -367,7 +384,8 @@ class TestSimulate:
             "draw_seed-null", "values-null", "gamma-null", "gamma_scalar-nan", "gamma-inf",
             "gamma-word", "rho-nan", "rho-above-1", "score_info-gamma-nan",
             "score_info-gamma-word", "score_info-gamma-null-entry", "gamma-length-2",
-            "score_info-gamma-length-2", "column-p-above-1", "column-var-0", "rho-null",
+            "score_info-gamma-length-2", "column-p-above-1", "column-var-0",
+            "column-mean-nan", "column-var-inf", "rho-null",
             "refs-n0-null", "refs-ridge-word", "refs-centered-string"])
     def test_wrong_json_type_exits_2(self, tmp_path, capsys, monkeypatch, key, raw):
         from mi_audit import game
@@ -434,6 +452,25 @@ class TestCanary:
         assert msg["error"] == "config"
         assert "ridge" in msg["message"]
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("which", ["refs", "cands"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, which, bad):
+        # a NaN or infinite entry would rank as a score of NaN or Infinity
+        paths = {}
+        for name in ("refs", "cands"):
+            paths[name] = tmp_path / f"{name}.csv"
+            rows = ["1,2,3", "4,5,6", "7,8,10"]
+            if name == which:
+                rows[1] = f"4,5,{bad}"
+            paths[name].write_text("\n".join(rows) + "\n")
+        out = tmp_path / "o"
+        assert main(["canary", "--refs", str(paths["refs"]), "--candidates",
+                     str(paths["cands"]), "-o", str(out)]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert f"{paths[which]}: data row 2, column 3 is {bad}" in msg["message"]
+        assert not out.exists()
 
     def test_column_mismatch_exits_2(self, tmp_path, capsys):
         np.savetxt(tmp_path / "refs.csv", np.zeros((4, 3)), delimiter=",")
@@ -626,7 +663,21 @@ class TestWhitebox:
         assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
         msg = stderr_error(capsys)
         assert msg["error"] == "config"
-        assert "labels" in msg["message"]
+        # a NaN label is stopped by the CSV reader, before the label check
+        want = "every entry must be finite" if np.isnan(label) else "logistic labels"
+        assert want in msg["message"]
+
+    def test_non_finite_csv_entry_exits_2(self, tmp_path, capsys):
+        mat = np.column_stack([np.random.default_rng(59).normal(size=(12, 2)), np.arange(12) % 2])
+        mat[5, 1] = -np.inf
+        np.savetxt(tmp_path / "data.csv", mat, delimiter=",")
+        cfg = write_json(tmp_path / "cfg.json",
+                         dict(BLOB_CFG, data={"csv": str(tmp_path / "data.csv")}))
+        assert main(["whitebox", "--config", cfg, "-o", str(tmp_path / "o")]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert f"{tmp_path / 'data.csv'}: data row 6, column 2 is -inf" in msg["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_csv_logistic_labels_must_cover_every_class(self, tmp_path, capsys):
         X = np.random.default_rng(58).normal(size=(8, 2))
@@ -881,9 +932,45 @@ class TestReport:
         assert not (out / "gaps.json").exists()
         assert not (out / "report.svg").exists()
 
+    @pytest.mark.parametrize("curve", ["roc", "theory"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, curve):
+        paths = {}
+        for name in ("roc", "theory"):
+            paths[name] = tmp_path / f"{name}.csv"
+            mid = "0.5,nan" if name == curve else "0.5,0.8"
+            paths[name].write_text(f"x,y\n0.0,0.0\n{mid}\n1.0,1.0\n")
+        out = tmp_path / "o"
+        assert main(["report", "--roc", str(paths["roc"]), "--theory", str(paths["theory"]),
+                     "-o", str(out)]) == 2
+        msg = stderr_error(capsys)
+        assert msg["error"] == "config"
+        assert f"{paths[curve]}: data row 2, column 2 is nan" in msg["message"]
+        assert not out.exists()
+
     def test_no_curves_exits_2(self, tmp_path, capsys):
         assert main(["report", "-o", str(tmp_path / "o")]) == 2
         assert stderr_error(capsys)["error"] == "config"
+
+
+class TestJsonArtifacts:
+    def test_non_finite_value_raises_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(NumericalError, match="doc.json"):
+                cli._write_json(str(path), {"ok": 1.0, "rows": [{"x": bad}]})
+            assert not path.exists()
+        cli._write_json(str(path), {"ok": 1.0})
+        assert path.read_text() == '{\n  "ok": 1.0\n}\n'
+
+    def test_non_finite_profile_exits_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "effective_leakage", lambda *args: float("nan"))
+        cfg = write_json(tmp_path / "cfg.json", GAME_CFG)
+        out = tmp_path / "o"
+        assert main(["theory", "--config", cfg, "-o", str(out)]) == 3
+        msg = stderr_error(capsys)
+        assert msg["error"] == "numerical"
+        assert "profile.json" in msg["message"]
+        assert not (out / "profile.json").exists()
 
 
 class TestParser:

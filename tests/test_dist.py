@@ -5,7 +5,9 @@ import pytest
 
 from mi_audit import (
     Bernoulli,
+    ConfigError,
     Gaussian,
+    OracleMoments,
     ProductDistribution,
     TargetPoint,
     make_extreme_targets,
@@ -28,6 +30,19 @@ class TestColumns:
         with pytest.raises(ValueError):
             Gaussian(0.0, -1.0)
 
+    @pytest.mark.parametrize("mean, var, key", [
+        (float("nan"), 1.0, "mean"), (float("inf"), 1.0, "mean"), (-float("inf"), 1.0, "mean"),
+        (0.0, float("nan"), "var"), (0.0, float("inf"), "var"),
+    ])
+    def test_gaussian_needs_finite_values(self, mean, var, key):
+        with pytest.raises(ValueError, match=f"Gaussian {key} must be finite"):
+            Gaussian(mean, var)
+        # a spec names the key that holds the bad value
+        spec = {"columns": [{"law": "bernoulli", "p": 0.5},
+                            {"law": "gaussian", "mean": str(mean), "var": str(var)}]}
+        with pytest.raises(ConfigError, match=rf"^dist\.columns\.1\.{key}: "):
+            ProductDistribution.from_spec(spec)
+
 
 class TestProductDistribution:
     def test_bernoulli_uniform_range_and_reproducibility(self):
@@ -48,6 +63,16 @@ class TestProductDistribution:
         gmu, gsig2 = gdist.moments()
         assert np.array_equal(gmu, [1.0, -2.0])
         assert np.array_equal(gsig2, [4.0, 0.25])
+
+    def test_one_moments_object(self):
+        # scores and closed forms share the distribution's one OracleMoments
+        dist = ProductDistribution.from_spec({"columns": [
+            {"law": "bernoulli", "p": 0.3}, {"law": "gaussian", "mean": -1.0, "var": 2.0}]})
+        om = OracleMoments.from_distribution(dist)
+        assert OracleMoments.from_distribution(dist) is om
+        mu, sig2 = dist.moments()
+        assert mu is om.mu and sig2 is om.sigma2
+        assert not om._var.flags.writeable
 
     def test_moments_read_only(self):
         dist = ProductDistribution.bernoulli_uniform(10, a=0.25, seed=2)

@@ -4,7 +4,9 @@ Every game promises values that do not depend on the chunk size, the
 worker count or how the chunk loop is written. The other suites check that
 promise against per-round oracles run alongside; these digests also pin
 the values themselves, so a rewrite of the loop that changes any bit fails
-here. The digests were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64.
+here. The theory, canary and report artifacts are pinned too, so a rewrite
+of how a command reads its model or measures its moments fails here as
+well. The digests were taken with numpy 2.4.6 and scipy 1.17.1 on x86-64.
 A numpy or CPU that computes a transcendental function to other bits, or a
 new tool version in the JSON artifacts, changes them legitimately; the
 failure message prints the digest each artifact has now.
@@ -113,6 +115,49 @@ CANARY_DIGESTS = {
     },
 }
 
+# the simulate configs, which theory reads for their dist, target, n and
+# mechanism; the exact case keeps the default grid and epsilons
+THEORY_CASES = {
+    "exact": SIM_CASES["exact"],
+    "noisy": dict(SIM_CASES["noisy"], grid_points=64, epsilons=[0.0, 0.25, 1.5, 4]),
+    "subsampled": dict(SIM_CASES["subsampled"], grid_points=100, epsilons=[0, "0.5", 2.0]),
+}
+THEORY_DIGESTS = {
+    "exact": {
+        "profile.json": "5b9500e7f945252e7f0391c630e91c5b36faf897950e5518be67be81202c593e",
+        "tradeoff.csv": "8af0f1d42a59f595d2f40c387f03be436ae624ba337be9a73e24247b73bf9ae3",
+    },
+    "noisy": {
+        "profile.json": "7a4785f701811b53b291c99e1345f08426489ff48f5661261b4ef6eba7e7e82c",
+        "tradeoff.csv": "de7e141ca725053d1a6d36dd2b64d5fc7923bdd7d9f12bb21ae80841ed2e0110",
+    },
+    "subsampled": {
+        "profile.json": "620a3c8a9714cb7893925eff816d327213718e660d4591be4e222b9d28db3441",
+        "tradeoff.csv": "a6f39e22f113c62ab85f826b8cd567a70e47a62a8de9e6e39c37302666eb3477",
+    },
+}
+
+CANARY_ARGS = {
+    "diagonal": [],
+    "full-centered-ridge": ["--cov-mode", "full", "--centered", "--ridge", "0.01"],
+}
+CANARY_RANKING_DIGESTS = {
+    "diagonal": "def60f05861ec803b6e3ce9391a709f607493a982dd9b0aaaccf83f05b701318",
+    "full-centered-ridge": "22e4ff3f75bfc598536d05edaba30a94e8adcaf6cddeb99f70ece805c7fe8cb1",
+}
+
+REPORT_ARGS = {"linear": [], "log-x": ["--log-x", "--x-min", "1e-2"]}
+REPORT_DIGESTS = {
+    "linear": {
+        "gaps.json": "06af7a9267aec5f603a367026ce7b093865750498fd1f55f710790247acf14cb",
+        "report.svg": "a8a81581f69deed4e83d741ce1be5b3067aca1c2f631f12e0f4fdf2bf7d79f69",
+    },
+    "log-x": {
+        "gaps.json": "9ea205bd44a4a7e4f7764841b477b091911806c2f19eb5bdd156861e40f2bbdb",
+        "report.svg": "3f1b528b9eadd4025cde7f27b04b51f0c6409ec884bd4954259977e2c11e0c2f",
+    },
+}
+
 AVERAGE_DIGESTS = {
     "scores": "6711fe5e594113c371e692724c601c8ac82425387dc224008b6e47875dfb9027",
     "bits": "0a9aa8e02d6445f40dfdbc81e5d4a9b3eb0d990268ca86040bc4b7fcaaeb119c",
@@ -155,6 +200,53 @@ def test_whitebox_artifacts_in_several_chunks(tmp_path, case, threads):
     out = tmp_path / "out"
     assert main(["whitebox", "--config", str(cfg), "--threads", threads, "-o", str(out)]) == 0
     _check_files(out, CANARY_DIGESTS[case])
+
+
+def _write_rows(path, header: str, rows: np.ndarray) -> str:
+    # a CSV whose bytes depend on the numbers alone
+    path.write_text(header + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows))
+    return str(path)
+
+
+@pytest.mark.parametrize("case", list(THEORY_CASES))
+def test_theory_artifacts(tmp_path, case):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(THEORY_CASES[case]))
+    out = tmp_path / "out"
+    assert main(["theory", "--config", str(cfg), "-o", str(out)]) == 0
+    _check_files(out, THEORY_DIGESTS[case])
+
+
+@pytest.mark.parametrize("case", list(CANARY_ARGS))
+def test_canary_ranking(tmp_path, case):
+    rng = np.random.default_rng(94)
+    refs = _write_rows(tmp_path / "refs.csv", "", rng.normal(size=(60, 6)))
+    cands = rng.normal(size=(9, 6))
+    cands[4] *= 6.0
+    cands = _write_rows(tmp_path / "cands.csv", "", cands)
+    out = tmp_path / "out"
+    argv = ["canary", "--refs", refs, "--candidates", cands, *CANARY_ARGS[case], "-o", str(out)]
+    assert main(argv) == 0
+    _check_files(out, {"ranking.json": CANARY_RANKING_DIGESTS[case]})
+
+
+@pytest.mark.parametrize("case", list(REPORT_ARGS))
+def test_report_artifacts(tmp_path, case):
+    # two empirical staircases, each against the curve alpha -> alpha^(1/k)
+    rng = np.random.default_rng(95)
+    argv = ["report"]
+    for k in (2, 3):
+        steps = np.sort(rng.uniform(size=(2, 30)), axis=1)
+        roc = np.vstack([[0.0, 0.0], np.column_stack([steps[0], np.maximum(steps[0], steps[1])]),
+                         [1.0, 1.0]])
+        roc[:, 1] = np.maximum.accumulate(roc[:, 1])
+        alphas = np.linspace(0.0, 1.0, 41)
+        theory = np.column_stack([alphas, alphas ** (1.0 / k)])
+        argv += ["--roc", _write_rows(tmp_path / f"roc{k}.csv", "fpr,tpr\n", roc),
+                 "--theory", _write_rows(tmp_path / f"theory{k}.csv", "alpha,power\n", theory)]
+    out = tmp_path / "out"
+    assert main(argv + REPORT_ARGS[case] + ["-o", str(out)]) == 0
+    _check_files(out, REPORT_DIGESTS[case])
 
 
 @pytest.mark.parametrize("threads", [None, 3])

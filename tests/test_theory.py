@@ -48,6 +48,50 @@ from mi_audit.theory import _densify, _theory_polyline
 SUP_TOL = 0.05
 
 
+NAN = float("nan")
+PTS = np.array([[0.0, 0.0], [0.3, 0.6], [1.0, 1.0]])
+
+
+class TestNanScores:
+    """Every closed form that takes a leakage score rejects a NaN one, and
+    every epsilon bound rejects a NaN epsilon, rather than return NaN."""
+
+    @pytest.mark.parametrize("call", [
+        lambda: theoretical_leakage(NAN),
+        lambda: theoretical_power(NAN, 0.5),
+        lambda: theoretical_power(NAN, np.linspace(0, 1, 5)),
+        lambda: optimal_threshold(NAN, 0.05),
+        lambda: subsampled_leakage_score(NAN, 0.5),
+        lambda: misspec_advantage(NAN, 1.0),
+        lambda: misspec_advantage(0.5, NAN),
+        lambda: gdp_delta(NAN, 1.0),
+        lambda: subsampled_power(NAN, 0.5, 0.2),
+        lambda: TradeoffCurve.from_leakage(NAN),
+        lambda: TradeoffCurve.from_leakage(NAN, num=5, q=0.5),
+        lambda: TradeoffCurve(m_eff=NAN, alphas=np.array([0.0, 1.0]),
+                              powers=np.array([0.0, 1.0])),
+        lambda: sup_norm_gap(PTS, NAN),
+        lambda: vertical_gap(PTS, NAN),
+    ], ids=["leakage", "power", "power-grid", "threshold", "subsampled-score",
+            "misspec-m_scal", "misspec-m_targ", "gdp", "subsampled-power", "curve",
+            "curve-mixture", "curve-fields", "sup_norm_gap", "vertical_gap"])
+    def test_nan_score_is_rejected(self, call):
+        with pytest.raises(ValueError, match=r"must be >= 0, got nan"):
+            call()
+
+    @pytest.mark.parametrize("epsilon", [NAN, float("inf"), -0.5])
+    @pytest.mark.parametrize("q", [1.0, 0.5])
+    def test_bad_epsilon_is_rejected(self, epsilon, q):
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            gdp_delta(1.0, epsilon)
+        with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+            TradeoffCurve.from_leakage(1.0, num=5, q=q).delta(epsilon)
+
+    def test_nan_sigma_is_rejected(self):
+        with pytest.raises(ValueError, match="sigma must be > 0"):
+            tv_gaussians(0.0, 1.0, NAN)
+
+
 class TestNormalKernels:
     def test_phi_matches_high_precision_reference(self):
         for x in np.linspace(-8, 8, 33):
