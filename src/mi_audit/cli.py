@@ -71,7 +71,8 @@ def _load_config(path: str) -> dict:
 
 
 def _write_json(path: str, obj) -> None:
-    # JSON has no NaN or Infinity: one is a numerical failure, and no file
+    # JSON has no NaN or Infinity; one is a numerical failure, raised
+    # before the file is opened
     try:
         text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     except ValueError as e:

@@ -232,7 +232,7 @@ def test_canary_ranking(tmp_path, case):
 
 @pytest.mark.parametrize("case", list(REPORT_ARGS))
 def test_report_artifacts(tmp_path, case):
-    # two empirical staircases, each against the curve alpha -> alpha^(1/k)
+    # two monotone empirical curves, each against the curve alpha -> alpha^(1/k)
     rng = np.random.default_rng(95)
     argv = ["report"]
     for k in (2, 3):
