@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ConfigError", "NumericalError", "as_vector", "config_value", "config_checked"]
+__all__ = ["ConfigError", "NumericalError", "as_vector", "as_target", "check_rate",
+           "config_value", "config_checked"]
 
 
 class ConfigError(ValueError):
@@ -39,6 +40,29 @@ def as_vector(x, d: int | None = None, name: str = "vector") -> np.ndarray:
     if d is not None and v.shape[0] != d:
         raise ValueError(f"dimension mismatch: {name} has length {v.shape[0]}, expected {d}")
     return v
+
+
+def as_target(x, d: int, name: str = "z") -> np.ndarray:
+    """``as_vector(x, d, name)``, checked finite: a NaN or infinite target
+    coordinate would make every score and leakage value NaN.
+
+    Raises:
+      ValueError: if ``x`` has the wrong shape, or a coordinate that is not
+        finite, named with its index.
+    """
+    v = as_vector(x, d, name)
+    if not np.isfinite(v).all():
+        i = int(np.flatnonzero(~np.isfinite(v))[0])
+        raise ValueError(f"{name} coordinates must be finite, got {v[i]} at {i}")
+    return v
+
+
+def check_rate(rho, name: str) -> None:
+    """The one bound 0 < rho <= 1, written so that NaN fails it. ``name``
+    says which rate it is, such as "subsampling rate" or "inclusion
+    probability"."""
+    if not 0.0 < rho <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {rho}")
 
 
 _REQUIRED = object()

@@ -5,9 +5,10 @@ arrives as JSON config files; a few scalar flags (rounds, seed, threads)
 override config values, and with no --threads the config's threads key, if
 any, sets the worker count. Every config value is read through
 config_value, so a missing key or a value of the wrong type is a config
-error that names the dotted key. Outputs are CSV, JSON, and SVG files under an
-explicit output directory. Every run is a pure function of its inputs and
-seed: floats are serialized with 17 significant digits and re-runs are
+error that names the dotted key. Each subcommand returns its artifacts, CSV,
+JSON and SVG, by file name, and one writer puts them under the explicit
+output directory. Every run is a pure function of its inputs and seed:
+floats are serialized with 17 significant digits and re-runs are
 byte-identical.
 
 Exit codes: 0 success, 2 usage or config error, 3 numerical failure. On
@@ -22,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +52,9 @@ from .whitebox import (
 
 _THREADS_HELP = "worker threads, in place of the config's threads; none runs serially"
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
+# a CSV is formatted and written this many rows at a time, so a game of 10^6
+# rounds never holds its whole CSV text, or a Python float for each score
+_CSV_BLOCK_ROWS = 4096
 
 
 def _config_hash(obj) -> str:
@@ -70,23 +75,50 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
 
 
-def _write_json(path: str, obj) -> None:
-    # JSON has no NaN or Infinity; one is a numerical failure, raised
-    # before the file is opened
-    try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError as e:
-        raise NumericalError(f"{os.path.basename(path)}: {e}") from e
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text + "\n")
+class _Csv(NamedTuple):
+    """A CSV artifact: the header line, then one line ``fmt % row`` for each
+    row of ``columns``, 1-D arrays or ranges of one length. Floats take
+    %.17g, the 17 significant digits that read back to the same double."""
+
+    header: str
+    fmt: str
+    columns: tuple
 
 
-def _write_csv(path: str, header: str, fmt: str, rows) -> None:
-    # one line fmt % row per row; floats take %.17g, the 17 significant
-    # digits that read back to the same double
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(header + "\n")
-        f.write("".join(map((fmt + "\n").__mod__, rows)))
+def _write_rows(f, csv: _Csv) -> None:
+    line = csv.fmt + "\n"
+    f.write(csv.header + "\n")
+    for start in range(0, len(csv.columns[0]), _CSV_BLOCK_ROWS):
+        block = [c[start:start + _CSV_BLOCK_ROWS] for c in csv.columns]
+        # %.17g formats a Python float faster than a numpy scalar, and to
+        # the same text
+        rows = zip(*(b.tolist() if isinstance(b, np.ndarray) else b for b in block))
+        f.write("".join(map(line.__mod__, rows)))
+
+
+def _write_artifacts(out_dir: str, artifacts: dict) -> None:
+    """Write a command's artifacts into ``out_dir``, keyed by file name: a
+    _Csv in row blocks, a str as it is, and anything else as a JSON document.
+
+    JSON has no NaN or Infinity. Every document is rendered before the
+    directory is made or any file opens, so a non-finite value raises a
+    NumericalError that names its file and a failed run writes nothing."""
+    texts = {}
+    for name, obj in artifacts.items():
+        if isinstance(obj, (_Csv, str)):
+            texts[name] = obj
+            continue
+        try:
+            texts[name] = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as e:
+            raise NumericalError(f"{name}: {e}") from e
+    os.makedirs(out_dir, exist_ok=True)
+    for name, obj in texts.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as f:
+            if isinstance(obj, _Csv):
+                _write_rows(f, obj)
+            else:
+                f.write(obj)
 
 
 def _load_matrix_csv(path: str, skiprows: int = 0) -> np.ndarray:
@@ -125,11 +157,6 @@ def _run_hash(cfg: dict) -> str:
     return _config_hash({k: v for k, v in cfg.items() if k != "threads"})
 
 
-def _out_dir(args) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return args.out_dir
-
-
 def _model_fields(dist, mech, n: int, z, num: int):
     """The trade-off curve of a game's model on ``num`` points, and the
     fields that theory and simulate both write for it. A subsampled release
@@ -153,7 +180,7 @@ def _meta(config_hash: str, master_seed) -> dict:
 # -- theory --------------------------------------------------------------------
 
 
-def cmd_theory(args) -> int:
+def cmd_theory(args) -> dict:
     cfg = _load_config(args.config)
     # the model simulate reads, with the mechanism optional
     dist, mech, n, z = _read_model(cfg, None)
@@ -163,13 +190,6 @@ def cmd_theory(args) -> int:
                 for i in range(len(eps))]
 
     curve, fields = _model_fields(dist, mech, n, z, grid_points)
-    out = _out_dir(args)
-    _write_csv(
-        os.path.join(out, "tradeoff.csv"),
-        "alpha,power",
-        "%.17g,%.17g",
-        zip(curve.alphas.tolist(), curve.powers.tolist()),
-    )
     profile = _meta(_run_hash(cfg), None)
     profile.update(
         {
@@ -182,14 +202,16 @@ def cmd_theory(args) -> int:
             ],
         }
     )
-    _write_json(os.path.join(out, "profile.json"), profile)
-    return 0
+    return {
+        "tradeoff.csv": _Csv("alpha,power", "%.17g,%.17g", (curve.alphas, curve.powers)),
+        "profile.json": profile,
+    }
 
 
 # -- simulate --------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> dict:
     raw = _override(_load_config(args.config), args, "rounds", "master_seed", "threads")
     cfg = GameConfig.from_dict(raw)
 
@@ -198,16 +220,6 @@ def cmd_simulate(args) -> int:
     theory, fields = _model_fields(cfg.dist, cfg.mech, cfg.n, cfg.z, 512)
     floor = min(1.0, 10.0 / max(1, min(int((bits == 0).sum()), int((bits == 1).sum()))))
 
-    out = _out_dir(args)
-    _write_csv(
-        os.path.join(out, "rounds.csv"),
-        "round,score,b",
-        "%d,%.17g,%d",
-        zip(range(cfg.rounds), scores.tolist(), bits.tolist()),
-    )
-    _write_csv(
-        os.path.join(out, "roc.csv"), "fpr,tpr", "%.17g,%.17g", map(tuple, curve.points.tolist())
-    )
     summary = _meta(_run_hash(raw), cfg.master_seed)
     summary.update(
         {
@@ -226,14 +238,17 @@ def cmd_simulate(args) -> int:
             "theory_alpha_grid": 512,
         }
     )
-    _write_json(os.path.join(out, "summary.json"), summary)
-    return 0
+    return {
+        "rounds.csv": _Csv("round,score,b", "%d,%.17g,%d", (range(cfg.rounds), scores, bits)),
+        "roc.csv": _Csv("fpr,tpr", "%.17g,%.17g", (curve.points[:, 0], curve.points[:, 1])),
+        "summary.json": summary,
+    }
 
 
 # -- canary --------------------------------------------------------------------
 
 
-def cmd_canary(args) -> int:
+def cmd_canary(args) -> dict:
     refs_matrix = _load_matrix_csv(args.refs)
     cands = _load_matrix_csv(args.candidates)
     if cands.shape[1] != refs_matrix.shape[1]:
@@ -263,9 +278,7 @@ def cmd_canary(args) -> int:
             "ranking": [{"index": i, "score": scores[i]} for i in order],
         }
     )
-    out = _out_dir(args)
-    _write_json(os.path.join(out, "ranking.json"), doc)
-    return 0
+    return {"ranking.json": doc}
 
 
 # -- whitebox --------------------------------------------------------------------
@@ -283,7 +296,7 @@ def _param_slice(cfg) -> tuple | None:
     return tuple(raw)
 
 
-def cmd_whitebox(args) -> int:
+def cmd_whitebox(args) -> dict:
     cfg = _override(_load_config(args.config), args, "master_seed", "threads")
     data = config_value(cfg, "data", dict)
     arch = config_value(cfg, "arch", str)
@@ -377,13 +390,12 @@ def cmd_whitebox(args) -> int:
     # both attacks score each rep's one training run
     scores, bits = _play_reps(model, X_base, labels, target, refs, sl, reps=reps,
                               master_seed=master_seed, threads=threads, **sgd)
-    out = _out_dir(args)
-    results = {}
+    artifacts, results = {}, {}
     for attack, column in zip(_ATTACKS, scores.T):
         curve = _roc(column, bits)
         results[attack] = {"auc": curve.auc, "advantage_best_threshold": curve.best_advantage()}
-        _write_csv(os.path.join(out, f"scores_{attack}.csv"), "rep,score,b", "%d,%.17g,%d",
-                   zip(range(reps), column.tolist(), bits.tolist()))
+        artifacts[f"scores_{attack}.csv"] = _Csv("rep,score,b", "%d,%.17g,%d",
+                                                 (range(reps), column, bits))
 
     doc = _meta(_run_hash(cfg), master_seed)
     doc.update(
@@ -395,8 +407,8 @@ def cmd_whitebox(args) -> int:
             "attacks": results,
         }
     )
-    _write_json(os.path.join(out, "whitebox.json"), doc)
-    return 0
+    artifacts["whitebox.json"] = doc
+    return artifacts
 
 
 # -- report --------------------------------------------------------------------
@@ -482,7 +494,7 @@ def _svg_roc(curves, log_x: bool, x_min: float) -> str:
     return "\n".join(parts) + "\n"
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> dict:
     if not args.roc:
         raise ConfigError("report needs at least one --roc CSV")
     if args.log_x and not 0 < args.x_min < 1:
@@ -514,9 +526,6 @@ def cmd_report(args) -> int:
                     "sup_norm_gap": polyline_gap(pts, tpts),
                 }
             )
-    out = _out_dir(args)
-    with open(os.path.join(out, "report.svg"), "w", encoding="utf-8") as f:
-        f.write(_svg_roc(curves, log_x=args.log_x, x_min=args.x_min))
     params = {
         "inputs": [_file_digest(p) for p in args.roc + (args.theory or [])],
         "log_x": args.log_x,
@@ -524,8 +533,7 @@ def cmd_report(args) -> int:
     }
     doc = _meta(_config_hash(params), None)
     doc["pairs"] = gaps
-    _write_json(os.path.join(out, "gaps.json"), doc)
-    return 0
+    return {"report.svg": _svg_roc(curves, log_x=args.log_x, x_min=args.x_min), "gaps.json": doc}
 
 
 # -- parser --------------------------------------------------------------------
@@ -589,7 +597,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        _write_artifacts(args.out_dir, args.func(args))
+        return 0
     except ConfigError as e:
         print(json.dumps({"error": "config", "message": str(e)}), file=sys.stderr)
         return 2

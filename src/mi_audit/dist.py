@@ -16,7 +16,7 @@ from typing import ClassVar, Sequence, Union
 
 import numpy as np
 
-from ._util import ConfigError, as_vector, config_checked, config_value
+from ._util import ConfigError, as_target, config_checked, config_value
 from .score import OracleMoments
 
 __all__ = [
@@ -286,7 +286,7 @@ class ProductDistribution:
     def mahalanobis2(self, z) -> float:
         """Squared Mahalanobis distance of ``z`` from the distribution mean,
         sum_j (z_j - mu_j)^2 / sigma_j^2."""
-        return self._om.precision_quad(as_vector(z, self.d, "z") - self._om.mu)
+        return self._om.precision_quad(as_target(z, self.d, "z") - self._om.mu)
 
     def leakage_score(self, z, n: int) -> float:
         """Per-record leakage score, mahalanobis2(z) / n.
@@ -315,11 +315,11 @@ def target_from_spec(obj, dist: ProductDistribution, key: str = "target") -> Tar
     is the spec's config key, which error messages name.
     """
     if isinstance(obj, (list, tuple, np.ndarray)):
-        return _finite_target(as_vector(obj, dist.d, key), key)
+        return _finite_target(obj, dist.d, key)
     if isinstance(obj, dict):
         if "values" in obj:
             values = config_value(obj, "values", list, where=key)
-            return _finite_target(as_vector(values, dist.d, key), f"{key}.values")
+            return _finite_target(values, dist.d, f"{key}.values")
         if "extreme" in obj:
             easy, hard = make_extreme_targets(dist)
             which = config_value(obj, "extreme", str, where=key)
@@ -337,13 +337,13 @@ def target_from_spec(obj, dist: ProductDistribution, key: str = "target") -> Tar
     )
 
 
-def _finite_target(z: np.ndarray, key: str) -> TargetPoint:
-    # a null coordinate reads as NaN, and a NaN or infinite one would score
-    # every round NaN
-    bad = np.flatnonzero(~np.isfinite(z))
-    if bad.size:
-        raise ConfigError(f"{key} coordinates must be finite, got {z[bad[0]]} at {bad[0]}")
-    return TargetPoint(z)
+def _finite_target(values, d: int, key: str) -> TargetPoint:
+    # a null coordinate reads as NaN; as_target's error names the key, and
+    # here it is a config error
+    try:
+        return TargetPoint(as_target(values, d, key))
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
 
 
 def make_extreme_targets(dist: ProductDistribution) -> tuple[TargetPoint, TargetPoint]:

@@ -20,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from ._util import ConfigError, config_checked, config_value
+from ._util import ConfigError, check_rate, config_checked, config_value
 
 __all__ = [
     "EmpiricalMean",
@@ -40,8 +40,7 @@ def _check_dataset(D) -> np.ndarray:
 
 def subsample_count(rho: float, n: int) -> int:
     """Number of rows kept at rate rho, round(rho * n) floored at 1."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"subsampling rate must lie in (0, 1], got {rho}")
+    check_rate(rho, "subsampling rate")
     if n < 1:
         raise ValueError("n must be >= 1")
     return max(1, int(round(rho * n)))
@@ -159,8 +158,7 @@ class SubsampledMean(_ColumnMean):
     rho: float
 
     def __post_init__(self):
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"subsampling rate must lie in (0, 1], got {self.rho}")
+        check_rate(self.rho, "subsampling rate")
 
     def k(self, n: int) -> int:
         return subsample_count(self.rho, n)

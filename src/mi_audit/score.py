@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from ._util import ConfigError, NumericalError, as_vector
+from ._util import ConfigError, NumericalError, as_target, as_vector
 from .mech import NoisyMean, SubsampledMean, _noise_scales, subsample_count
 
 # scipy.linalg.solve_triangular's own LAPACK routine for float64 input
@@ -291,9 +291,10 @@ def _as_rows(x, d: int, name: str) -> np.ndarray:
 
 def _targets(z, mu_hat: np.ndarray, d: int) -> np.ndarray:
     # the target of a release (d,), or of a block (T, d) of releases: one
-    # for every row, or a (T, d) block of one per row
+    # for every row, checked finite once per call, or a (T, d) block of one
+    # per row, which the average-target game draws from the distribution
     if mu_hat.ndim == 1 or np.ndim(z) != 2:
-        return as_vector(z, d, "z")
+        return as_target(z, d, "z")
     if np.shape(z) != mu_hat.shape:
         raise ValueError(f"z must be ({d},) or {mu_hat.shape}, got shape {np.shape(z)}")
     return np.asarray(z, dtype=np.float64)

@@ -40,7 +40,7 @@ import functools
 import numpy as np
 from scipy.special import log_ndtr, ndtr, ndtri
 
-from ._util import as_vector
+from ._util import as_target, check_rate
 from .mech import EmpiricalMean, NoisyMean, SubsampledMean
 from .score import OracleMoments, _noise_inflated
 
@@ -159,7 +159,7 @@ def noisy_leakage_score(dist, z, gamma, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     om = OracleMoments.from_distribution(dist)
-    u = as_vector(z, dist.d, "z") - om.mu
+    u = as_target(z, dist.d, "z") - om.mu
     return _noise_inflated(om, gamma).precision_quad(u) / n
 
 
@@ -171,8 +171,7 @@ def subsampled_leakage_score(m: float, rho: float) -> float:
     power cap rho + (1 - rho) * alpha that mechanism obeys. The curve of the
     mechanism is the mixture of subsampled_power (see tradeoff_curve)."""
     _check_score(m)
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"subsampling rate must lie in (0, 1], got {rho}")
+    check_rate(rho, "subsampling rate")
     return rho * m
 
 
@@ -201,8 +200,8 @@ def cross_leakage(dist, z_targ, z_star, n: int) -> float:
     if n < 1:
         raise ValueError("n must be >= 1")
     om = OracleMoments.from_distribution(dist)
-    a = as_vector(z_targ, dist.d, "z_targ") - om.mu
-    b = as_vector(z_star, dist.d, "z_star") - om.mu
+    a = as_target(z_targ, dist.d, "z_targ") - om.mu
+    b = as_target(z_star, dist.d, "z_star") - om.mu
     return om.precision_pair(a, b)[0] / n
 
 
@@ -251,11 +250,6 @@ def effective_leakage(dist, z, n: int, mech=None) -> float:
     raise TypeError(f"unsupported mechanism: {mech!r}")
 
 
-def _check_inclusion(q: float) -> None:
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"inclusion probability must lie in (0, 1], got {q}")
-
-
 def _mix(alpha, power_in, q: float):
     # at q = 1 this is 0 * alpha + power_in, which is power_in bit for bit
     return (1.0 - q) * alpha + q * power_in
@@ -272,7 +266,7 @@ def subsampled_power(m_in: float, q: float, alpha):
     Vectorized over alpha; q = 1 is theoretical_power exactly. The curve
     never exceeds the cap q + (1 - q) * alpha.
     """
-    _check_inclusion(q)
+    check_rate(q, "inclusion probability")
     out = _mix(np.asarray(alpha, dtype=np.float64), theoretical_power(m_in, alpha), q)
     return float(out) if np.ndim(alpha) == 0 else out
 
@@ -299,7 +293,7 @@ class TradeoffCurve:
 
     def __post_init__(self):
         _check_score(self.m_eff, "m_eff")
-        _check_inclusion(self.q)
+        check_rate(self.q, "inclusion probability")
         a = np.asarray(self.alphas, dtype=np.float64)
         p = np.asarray(self.powers, dtype=np.float64)
         if a.shape != p.shape or a.ndim != 1 or a.size < 2:

@@ -4,6 +4,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -269,6 +270,24 @@ class TestSimulate:
             assert main(["simulate", "--config", cfg, "--threads", threads, "-o", str(out)]) == 0
             assert (out / "rounds.csv").read_text() == want_rounds
             assert (out / "roc.csv").read_text() == want_roc
+
+    def test_csvs_of_three_row_blocks_match_the_per_round_oracle(self, tmp_path):
+        # two full row blocks and part of a third, in rounds.csv and roc.csv
+        rounds = 2 * cli._CSV_BLOCK_ROWS + 5
+        columns = [{"law": "bernoulli", "p": 0.3}, {"law": "gaussian", "mean": 0.5, "var": 2.0},
+                   {"law": "bernoulli", "p": 0.6}]
+        z = [1.0, 2.5, 0.0]
+        mechanism = {"mechanism": "empirical_mean"}
+        raw = {"dist": {"columns": columns}, "mechanism": mechanism, "n": 20,
+               "target": {"values": z}, "score": "lr_asymptotic", "rounds": rounds,
+               "master_seed": 93}
+        want_rounds, want_roc = oracles.simulate_csvs_ref(columns, mechanism, 20, z, rounds, 93)
+        assert want_roc.count("\n") > 2 * cli._CSV_BLOCK_ROWS + 1
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", write_json(tmp_path / "cfg.json", raw),
+                     "-o", str(out)]) == 0
+        assert (out / "rounds.csv").read_text() == want_rounds
+        assert (out / "roc.csv").read_text() == want_roc
 
     @pytest.mark.parametrize("mechanism, score, names", [
         ({"mechanism": "noisy_mean", "gamma_scalar": 0.6}, "lr_exact_bernoulli",
@@ -954,13 +973,15 @@ class TestReport:
 
 class TestJsonArtifacts:
     def test_non_finite_value_raises_before_the_file_opens(self, tmp_path):
-        path = tmp_path / "doc.json"
+        out = tmp_path / "o"
+        csv = cli._Csv("x", "%.17g", (np.ones(3),))
         for bad in (float("nan"), float("inf"), -float("inf")):
             with pytest.raises(NumericalError, match="doc.json"):
-                cli._write_json(str(path), {"ok": 1.0, "rows": [{"x": bad}]})
-            assert not path.exists()
-        cli._write_json(str(path), {"ok": 1.0})
-        assert path.read_text() == '{\n  "ok": 1.0\n}\n'
+                cli._write_artifacts(str(out), {"a.csv": csv,
+                                                "doc.json": {"ok": 1.0, "rows": [{"x": bad}]}})
+            assert not out.exists()
+        cli._write_artifacts(str(out), {"doc.json": {"ok": 1.0}})
+        assert (out / "doc.json").read_text() == '{\n  "ok": 1.0\n}\n'
 
     def test_non_finite_profile_exits_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "effective_leakage", lambda *args: float("nan"))
@@ -970,7 +991,35 @@ class TestJsonArtifacts:
         msg = stderr_error(capsys)
         assert msg["error"] == "numerical"
         assert "profile.json" in msg["message"]
-        assert not (out / "profile.json").exists()
+        # no tradeoff.csv either: nothing is written, not even the directory
+        assert not out.exists()
+
+    def test_non_finite_summary_exits_3_and_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "effective_leakage", lambda *args: float("nan"))
+        cfg = write_json(tmp_path / "cfg.json", GAME_CFG)
+        out = tmp_path / "o"
+        assert main(["simulate", "--config", cfg, "-o", str(out)]) == 3
+        msg = stderr_error(capsys)
+        assert msg["error"] == "numerical"
+        assert "summary.json" in msg["message"]
+        assert not out.exists()
+
+    def test_csv_is_written_in_bounded_memory(self, tmp_path):
+        # 200 000 rows at once would take about 20 MB of row strings and text
+        rows = 200_000
+        scores = np.random.default_rng(5).standard_normal(rows)
+        bits = np.arange(rows) % 2
+        csv = cli._Csv("round,score,b", "%d,%.17g,%d", (range(rows), scores, bits))
+        tracemalloc.start()
+        try:
+            cli._write_artifacts(str(tmp_path), {"rounds.csv": csv})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+        want = "round,score,b\n" + "".join(
+            "%d,%.17g,%d\n" % row for row in zip(range(rows), scores.tolist(), bits.tolist()))
+        assert (tmp_path / "rounds.csv").read_text() == want
 
 
 class TestParser:

@@ -35,6 +35,7 @@ from mi_audit import (
     score_transcript,
     subsampled_leakage_score,
     subsampled_power,
+    subsample_count,
     sup_norm_gap,
     theoretical_leakage,
     theoretical_power,
@@ -90,6 +91,35 @@ class TestNanScores:
     def test_nan_sigma_is_rejected(self):
         with pytest.raises(ValueError, match="sigma must be > 0"):
             tv_gaussians(0.0, 1.0, NAN)
+
+    @pytest.mark.parametrize("rate", [NAN, 0.0, -0.5, 1.5])
+    @pytest.mark.parametrize("call, name", [
+        (lambda r: subsample_count(r, 10), "subsampling rate"),
+        (lambda r: SubsampledMean(r), "subsampling rate"),
+        (lambda r: subsampled_leakage_score(1.0, r), "subsampling rate"),
+        (lambda r: subsampled_power(1.0, r, 0.2), "inclusion probability"),
+        (lambda r: TradeoffCurve.from_leakage(1.0, num=5, q=r), "inclusion probability"),
+    ], ids=["subsample_count", "SubsampledMean", "subsampled-score", "subsampled-power",
+            "curve-mixture"])
+    def test_rate_outside_the_unit_interval_is_rejected(self, call, name, rate):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \(0, 1\], got {rate}$"):
+            call(rate)
+
+    @pytest.mark.parametrize("bad", [NAN, float("inf"), -float("inf")])
+    @pytest.mark.parametrize("call", [
+        lambda dist, z: dist.leakage_score(z, 10),
+        lambda dist, z: effective_leakage(dist, z, 10, NoisyMean(0.5)),
+        lambda dist, z: noisy_leakage_score(dist, z, 0.5, 10),
+        lambda dist, z: cross_leakage(dist, z, [1.0, 0.0], 10),
+        lambda dist, z: cross_leakage(dist, [1.0, 0.0], z, 10),
+        lambda dist, z: make_score("lr_asymptotic", dist=dist, n=10)([0.3, 0.6], z),
+        lambda dist, z: make_score("lr_asymptotic", dist=dist, n=10).block(np.full((4, 2), 0.5), z),
+    ], ids=["leakage_score", "effective_leakage", "noisy_leakage_score", "cross_leakage-targ",
+            "cross_leakage-star", "lr_asymptotic", "lr_asymptotic-block"])
+    def test_non_finite_target_is_rejected(self, call, bad):
+        dist = ProductDistribution.bernoulli([0.3, 0.6])
+        with pytest.raises(ValueError, match=rf"coordinates must be finite, got {bad} at 0$"):
+            call(dist, [bad, 1.0])
 
 
 class TestNormalKernels:
