@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._util import ConfigError, as_vector
+from ._util import ConfigError, as_target
 from .score import ReferenceEstimates, _as_rows
 
 __all__ = ["estimate_reference", "mahalanobis_score_est", "select_canary"]
@@ -60,15 +60,24 @@ def estimate_reference(
 
 def mahalanobis_score_est(x, refs: ReferenceEstimates) -> float:
     """Estimated squared Mahalanobis distance (x - mu0)^T C0^-1 (x - mu0),
-    evaluated through the cached factorization. Always non-negative."""
-    u = as_vector(x, refs.d, "x") - refs.mu0
+    evaluated through the cached factorization. Always non-negative.
+
+    Raises:
+      ValueError: if ``x`` is not a length-d vector of finite numbers.
+    """
+    u = as_target(x, refs.d, "x") - refs.mu0
     return refs.precision_quad(u)
 
 
 def _mahalanobis_rows(X, refs: ReferenceEstimates) -> np.ndarray:
     """mahalanobis_score_est of each row of a (T, d) block, bit for bit,
     from one ReferenceEstimates._pairs call."""
-    U = _as_rows(X, refs.d, "candidates") - refs.mu0
+    U = _as_rows(X, refs.d, "candidates")
+    bad = np.argwhere(~np.isfinite(U))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"candidate {r} coordinates must be finite, got {U[r, c]} at {c}")
+    U = U - refs.mu0
     refs._check_finite(U)
     return refs._pairs(U, U)[1]
 
@@ -80,7 +89,8 @@ def select_canary(candidates, refs: ReferenceEstimates) -> tuple[int, float]:
     canary.
 
     Raises:
-      ValueError: no candidates, or a candidate that is not a length-d vector.
+      ValueError: no candidates, or a candidate that is not a length-d vector
+        of finite numbers, the first such named by its index.
     """
     scores = _mahalanobis_rows(list(candidates), refs)
     best = int(np.argmax(scores))

@@ -41,6 +41,7 @@ from .canary import estimate_reference
 from .dist import ProductDistribution, target_from_spec
 from .mech import NoisyMean, _noise_scales, mechanism_from_spec
 from .score import SCORE_NAMES, make_score
+from .theory import _BLOCK_ROWS, _steps
 
 __all__ = [
     "ScoredRound",
@@ -87,18 +88,23 @@ class RocCurve:
             raise ValueError(f"points must be an (N, 2) array with N >= 2, got {pts.shape}")
         if tuple(pts[0]) != (0.0, 0.0) or tuple(pts[-1]) != (1.0, 1.0):
             raise ValueError("ROC must start at (0, 0) and end at (1, 1)")
-        if np.any(np.diff(pts[:, 0]) < 0) or np.any(np.diff(pts[:, 1]) < 0):
+        if any(np.any(seg < 0) for _, seg in _steps(pts)):
             raise ValueError("ROC coordinates must be non-decreasing")
         if not 0.0 <= self.auc <= 1.0:
             raise ValueError(f"auc must lie in [0, 1], got {self.auc}")
-        pts = pts.copy()
-        pts.flags.writeable = False
+        # a read-only array that owns its memory is as safe from writes as a
+        # copy would be, so the points _roc builds are kept, not copied
+        if pts.flags.writeable or pts.base is not None:
+            pts = pts.copy()
+            pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     def best_advantage(self) -> float:
         """In-sample advantage of the best threshold, allowed to flip the
         guess direction: max over curve vertices of |tpr - fpr|."""
-        return float(np.max(np.abs(self.points[:, 1] - self.points[:, 0])))
+        pts = self.points
+        blocks = (pts[lo:lo + _BLOCK_ROWS] for lo in range(0, len(pts), _BLOCK_ROWS))
+        return float(np.max([np.abs(np.diff(b, axis=1)).max() for b in blocks]))
 
 
 def _read_model(obj: dict, mech_default=_REQUIRED):
@@ -523,7 +529,7 @@ def run_average_game(
 def _arrays(rounds) -> tuple[np.ndarray, np.ndarray]:
     # scores and bits of objects with .score and .b
     return (np.array([r.score for r in rounds], dtype=np.float64),
-            np.array([r.b for r in rounds], dtype=np.float64))
+            np.array([r.b for r in rounds], dtype=np.uint8))
 
 
 def _checked(scores, bits) -> tuple[np.ndarray, np.ndarray]:
@@ -532,7 +538,7 @@ def _checked(scores, bits) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("no rounds")
     if np.any(np.isnan(s)):
         raise ValueError("scores contain NaN")
-    return s, np.asarray(bits, dtype=np.float64)
+    return s, np.asarray(bits)
 
 
 def roc(rounds) -> RocCurve:
@@ -549,25 +555,44 @@ def roc(rounds) -> RocCurve:
 
 
 def _roc(scores, bits) -> RocCurve:
-    # roc of a scores array and its bits array
-    s, y = _checked(scores, bits)
-    n1 = float(y.sum())
-    n0 = float(len(y) - n1)
+    """roc of a scores array and its 0/1 bits array.
+
+    One sort orders the rounds from the highest score to the lowest; the
+    sweep then reads that order a block of _BLOCK_ROWS rounds at a time,
+    once to count the tie groups and once to write each group's point, the
+    counts at the group's last round over the class sizes. Which order a
+    tie group's rounds take does not matter, since only its last counts
+    are kept, and infinite sentinels group like any other value.
+    """
+    s, b = _checked(scores, bits)
+    n1 = np.count_nonzero(b)
+    n0 = len(b) - n1
     if n0 == 0 or n1 == 0:
         raise ValueError("ROC needs at least one round of each class")
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    tps = np.cumsum(y_sorted)
-    fps = np.cumsum(1.0 - y_sorted)
-    # keep only the last index of each tie group (inf != inf is False, so
-    # infinite sentinels group correctly)
-    last = np.r_[np.nonzero(s_sorted[1:] != s_sorted[:-1])[0], len(s_sorted) - 1]
-    fpr = fps[last] / n0
-    tpr = tps[last] / n1
-    points = np.vstack([[0.0, 0.0], np.column_stack([fpr, tpr])])
-    auc = float(np.trapezoid(points[:, 1], points[:, 0]))
-    return RocCurve(points=points, auc=auc)
+    order = np.argsort(s)[::-1]
+    starts = range(0, len(s), _BLOCK_ROWS)
+
+    def ends(lo: int) -> np.ndarray:
+        # the sweep positions in the block at lo, counted from lo, that end a
+        # tie group: the next score differs, or there is no next score
+        v = s[order[lo:lo + _BLOCK_ROWS + 1]]
+        last = np.flatnonzero(v[1:] != v[:-1])
+        return last if lo + _BLOCK_ROWS < len(s) else np.append(last, len(v) - 1)
+
+    points = np.empty((1 + sum(len(ends(lo)) for lo in starts), 2))
+    points[0] = 0.0
+    at, tp = 1, 0
+    for lo in starts:
+        last = ends(lo)
+        tps = np.cumsum(b[order[lo:lo + _BLOCK_ROWS]], dtype=np.intp)
+        tps += tp
+        tp = int(tps[-1])
+        tps = tps[last]
+        np.divide(lo + 1 + last - tps, float(n0), out=points[at:at + len(last), 0])
+        np.divide(tps, float(n1), out=points[at:at + len(last), 1])
+        at += len(last)
+    points.flags.writeable = False
+    return RocCurve(points=points, auc=float(np.trapezoid(points[:, 1], points[:, 0])))
 
 
 def empirical_advantage(rounds, threshold: float) -> float:
@@ -577,6 +602,5 @@ def empirical_advantage(rounds, threshold: float) -> float:
 
 def _advantage(scores, bits, threshold: float) -> float:
     # empirical_advantage of a scores array and its bits array
-    s, y = _checked(scores, bits)
-    guesses = (s > threshold).astype(np.float64)
-    return float(2.0 * np.mean(guesses == y) - 1.0)
+    s, b = _checked(scores, bits)
+    return float(2.0 * (np.count_nonzero(np.equal(s > threshold, b)) / len(s)) - 1.0)

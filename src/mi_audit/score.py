@@ -271,7 +271,7 @@ def scalar_product(mu_hat, z, z_ref) -> float:
     no variance weighting, just alignment of the released mean with the
     direction separating the target from a reference record."""
     zv = as_vector(z, name="z")
-    ref = as_vector(z_ref, zv.shape[0], "z_ref")
+    ref = as_target(z_ref, zv.shape[0], "z_ref")
     v = as_vector(mu_hat, zv.shape[0], "mu_hat")
     return float(_scalar(v, zv, ref))
 
@@ -423,7 +423,7 @@ def make_score(
             raise ConfigError("lr_empirical_cov needs reference estimates")
         return _bound(dist.d, lambda O, z: _lr(O, z, refs, n))
     if name == "scalar_product":
-        ref = om.mu if z_ref is None else as_vector(z_ref, dist.d, "z_ref")
+        ref = om.mu if z_ref is None else as_target(z_ref, dist.d, "z_ref")
         return _bound(dist.d, lambda O, z: _scalar(O, z, ref))
     if name == "lr_noisy":
         if gamma is None and isinstance(mech, NoisyMean):
@@ -443,7 +443,7 @@ def make_score(
     # lr_misspecified
     if z_targ is None:
         raise ConfigError("lr_misspecified needs the guessed target z_targ")
-    guess = as_vector(z_targ, dist.d, "z_targ")
+    guess = as_target(z_targ, dist.d, "z_targ")
     return _bound(dist.d, lambda O, z: _lr(O, guess, om, n))
 
 

@@ -379,6 +379,11 @@ def tradeoff_curve(dist, z, n: int, mech=None, num: int = 512) -> TradeoffCurve:
 
 # -- distance between an empirical ROC polyline and the theory curve ----------
 
+# The analysis of a game (its ROC, these gaps, its advantages) reads
+# per-round arrays this many rows at a time, so that its temporaries stay
+# the same size whatever the round count.
+_BLOCK_ROWS = 1 << 13
+
 
 def _coerce_points(points) -> np.ndarray:
     if hasattr(points, "points"):
@@ -389,23 +394,42 @@ def _coerce_points(points) -> np.ndarray:
     return pts
 
 
+def _steps(pts: np.ndarray):
+    # (lo, pts[lo + 1:hi + 1] - pts[lo:hi]) for each block [lo, hi) of the
+    # steps from one row of pts to the next
+    for lo in range(0, len(pts) - 1, _BLOCK_ROWS):
+        yield lo, np.diff(pts[lo:lo + _BLOCK_ROWS + 1], axis=0)
+
+
+def _pieces(poly: np.ndarray, step: float):
+    # (first segment, its differences, pieces each) for each block of
+    # segments of poly, a segment needing ceil(Chebyshev length / step) pieces
+    for lo, seg in _steps(poly):
+        yield lo, seg, np.maximum(1, np.ceil(np.max(np.abs(seg), axis=1) / step).astype(np.intp))
+
+
 def _densify(poly: np.ndarray, step: float) -> np.ndarray:
     """Insert vertices along each segment so consecutive points are within
     ``step`` of each other in the Chebyshev norm.
 
     A segment a -> b whose Chebyshev length needs k pieces gets the points
     a + t (b - a) at t = j * (1/k), j = 1..k, the last set to exactly 1.0.
-    Those are the values np.linspace(0, 1, k + 1)[1:] takes, built for all
-    segments in one pass.
+    Those are the values np.linspace(0, 1, k + 1)[1:] takes, built a block
+    of segments at a time straight into the output, once its length is
+    counted.
     """
-    seg = np.diff(poly, axis=0)
-    k = np.maximum(1, np.ceil(np.max(np.abs(seg), axis=1) / step).astype(np.intp))
-    ends = np.cumsum(k)
-    owner = np.repeat(np.arange(seg.shape[0]), k)
-    j = np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)
-    t = j * np.repeat(1.0 / k, k)
-    t[ends - 1] = 1.0
-    return np.vstack([poly[:1], poly[owner] + t[:, None] * seg[owner]])
+    out = np.empty((1 + sum(int(k.sum()) for _, _, k in _pieces(poly, step)), 2))
+    out[0] = poly[0]
+    at = 1
+    for lo, seg, k in _pieces(poly, step):
+        ends = np.cumsum(k)
+        owner = np.repeat(np.arange(seg.shape[0]), k)
+        j = np.arange(1, ends[-1] + 1) - np.repeat(ends - k, k)
+        t = j * np.repeat(1.0 / k, k)
+        t[ends - 1] = 1.0
+        out[at:at + ends[-1]] = poly[lo + owner] + t[:, None] * seg[owner]
+        at += ends[-1]
+    return out
 
 
 def _closed_form(theory) -> tuple[float, float]:
@@ -426,7 +450,7 @@ def _theory_polyline(m_eff: float, q: float = 1.0, num: int = 4001) -> np.ndarra
 
 
 def _check_monotone(pts: np.ndarray) -> np.ndarray:
-    if not np.all(np.diff(pts, axis=0) >= 0.0):
+    if not all(np.all(seg >= 0.0) for _, seg in _steps(pts)):
         raise ValueError(
             "polyline coordinates must be non-decreasing from vertex to vertex, "
             "as on an ROC or trade-off curve"
@@ -467,12 +491,15 @@ def _directed_gap(p: np.ndarray, s: np.ndarray) -> float:
     # A densified segment can end one ulp past its vertex (a + (b - a) is
     # not always b), so a monotone polyline may densify into a chain with
     # one-ulp steps back. Searching each non-decreasing run separately
-    # keeps the minimum exact.
+    # keeps the minimum exact. The points of p are searched a block at a
+    # time, and only each block's largest distance is kept.
     cuts = np.flatnonzero((s[1:, 0] < s[:-1, 0]) | (s[1:, 1] < s[:-1, 1])) + 1
-    near = np.full(len(p), np.inf)
-    for run in np.split(s, cuts):
-        near = np.minimum(near, _nearest_on_chain(p, run))
-    return float(near.max())
+    runs = np.split(s, cuts)
+    far = []
+    for lo in range(0, len(p), _BLOCK_ROWS):
+        block = p[lo:lo + _BLOCK_ROWS]
+        far.append(functools.reduce(np.minimum, (_nearest_on_chain(block, r) for r in runs)).max())
+    return float(np.max(far))
 
 
 def polyline_gap(a, b, step: float = 5e-4) -> float:
@@ -537,13 +564,20 @@ def vertical_gap(points, m_eff, alpha_min: float = 0.0) -> float:
     floor of the sample are excluded by alpha_min; at alpha smaller than one
     over the class count the staircase has no information and the vertical
     gap is an artifact, which is why sup_norm_gap is the headline metric.
+
+    The gap is read at each fpr of ``points`` from alpha_min up and at 513
+    even steps from alpha_min to 1, a block of alphas at a time. ``points``
+    must not decrease in either coordinate (see polyline_gap), so the
+    envelope at alpha is the tpr of the last point with fpr <= alpha.
     """
-    pts = _coerce_points(points)
+    pts = _check_monotone(_coerce_points(points))
     fpr, tpr = pts[:, 0], pts[:, 1]
-    alphas = np.unique(np.concatenate([fpr[fpr >= alpha_min], np.linspace(alpha_min, 1.0, 513)]))
-    idx = np.searchsorted(fpr, alphas, side="right") - 1
-    idx = np.clip(idx, 0, len(fpr) - 1)
-    # at duplicate fpr values take the top of the vertical run
-    env = np.maximum.accumulate(tpr)[idx]
     m, q = _closed_form(m_eff)
-    return float(np.max(np.abs(env - subsampled_power(m, q, alphas))))
+
+    def gap(alphas: np.ndarray) -> float:
+        idx = np.clip(np.searchsorted(fpr, alphas, side="right") - 1, 0, len(fpr) - 1)
+        return np.max(np.abs(tpr[idx] - subsampled_power(m, q, alphas)), initial=0.0)
+
+    blocks = (fpr[lo:lo + _BLOCK_ROWS] for lo in range(0, len(fpr), _BLOCK_ROWS))
+    grid = np.linspace(alpha_min, 1.0, 513)
+    return float(np.max([gap(grid), *(gap(a[a >= alpha_min]) for a in blocks)]))

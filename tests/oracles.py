@@ -16,7 +16,7 @@ import mpmath as mp
 import numpy as np
 from scipy import linalg, stats
 from scipy.spatial import cKDTree
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtr, ndtri
 
 mp.mp.dps = 40
 
@@ -141,6 +141,39 @@ def best_advantage_bruteforce(scores, bits):
         fpr, tpr = rates_at_threshold(scores, bits, t)
         best = max(best, abs(tpr - fpr))
     return best
+
+
+def roc_points_ref(scores, bits):
+    """ROC vertices (0, 0), then for each distinct score from the top the
+    share of each class scoring at least that much, counted by comparing
+    every score with every distinct value."""
+    scores = np.asarray(scores, dtype=np.float64)
+    bits = np.asarray(bits)
+    neg, pos = scores[bits == 0], scores[bits == 1]
+    values = np.unique(scores)[::-1]
+    counts = [np.zeros((1, 2), dtype=np.int64)]
+    for lo in range(0, len(values), 256):
+        v = values[lo:lo + 256, None]
+        counts.append(np.column_stack([(neg >= v).sum(axis=1), (pos >= v).sum(axis=1)]))
+    counts = np.vstack(counts)
+    return np.column_stack([counts[:, 0] / len(neg), counts[:, 1] / len(pos)])
+
+
+def vertical_gap_ref(points, m, q, alpha_min):
+    """Largest |envelope - power| at every fpr >= alpha_min and at 513 even
+    steps from alpha_min to 1, all in one sorted array of distinct alphas;
+    the envelope is the running maximum of tpr up to the last point with
+    fpr <= alpha, the power (1 - q) alpha + q Phi(Phi^-1(alpha) + sqrt(m))
+    with the corner alpha in {0, 1} read as Phi(Phi^-1(alpha))."""
+    pts = np.asarray(points, dtype=np.float64)
+    fpr, tpr = pts[:, 0], pts[:, 1]
+    alphas = np.unique(np.concatenate([fpr[fpr >= alpha_min], np.linspace(alpha_min, 1.0, 513)]))
+    idx = np.clip(np.searchsorted(fpr, alphas, side="right") - 1, 0, len(fpr) - 1)
+    env = np.maximum.accumulate(tpr)[idx]
+    u = ndtri(alphas)
+    with np.errstate(invalid="ignore"):
+        power = np.where(np.isinf(u), ndtr(u), ndtr(u + np.sqrt(m)))
+    return float(np.max(np.abs(env - ((1.0 - q) * alphas + q * power))))
 
 
 # ---------------------------------------------------------------------------

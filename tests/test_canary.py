@@ -74,6 +74,16 @@ class TestMahalanobisScore:
             0.0, abs=1e-18
         )
 
+    @pytest.mark.parametrize("cov_mode", ["diagonal", "full"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_is_rejected_by_name(self, ref_rows, cov_mode, bad):
+        # the diagonal path used to return nan, the full one scipy's message
+        refs = estimate_reference(ref_rows, cov_mode=cov_mode)
+        x = np.zeros(7)
+        x[2] = bad
+        with pytest.raises(ValueError, match=rf"^x coordinates must be finite, got {bad} at 2$"):
+            mahalanobis_score_est(x, refs)
+
     def test_nonnegative(self, ref_rows):
         rng = np.random.default_rng(64)
         refs = estimate_reference(ref_rows, cov_mode="full")
@@ -116,6 +126,18 @@ class TestSelectCanary:
         x = np.full(7, 3.0)
         idx, _ = select_canary([x, x.copy(), x.copy()], refs)
         assert idx == 0
+
+    @pytest.mark.parametrize("cov_mode", ["diagonal", "full"])
+    def test_non_finite_candidate_is_rejected_by_row(self, ref_rows, cov_mode):
+        # on diagonal refs a NaN candidate used to be selected, as (1, nan)
+        refs = estimate_reference(ref_rows, cov_mode=cov_mode)
+        cands = np.zeros((4, 7))
+        cands[2, 5] = np.inf
+        cands[1, 0] = np.nan
+        cands[3] = 5.0
+        msg = r"^candidate 1 coordinates must be finite, got nan at 0$"
+        with pytest.raises(ValueError, match=msg):
+            select_canary(cands, refs)
 
     def test_empty_candidates_rejected(self, ref_rows):
         refs = estimate_reference(ref_rows)

@@ -1022,6 +1022,37 @@ class TestJsonArtifacts:
         assert (tmp_path / "rounds.csv").read_text() == want
 
 
+    def test_simulate_runs_in_bounded_memory(self, tmp_path, monkeypatch):
+        # The game is replaced by one that draws a distinct score for each
+        # round, so the ROC has a point per round and the run takes seconds
+        # under tracemalloc. The scores and bits (9 B a round) and the ROC's
+        # points and their densified copy (16 B a point each) are what may
+        # grow with the round count; the sort order, the counts and the
+        # gaps' temporaries are read in blocks. The analysis peaked at about
+        # 130 B a round when it made whole-array float copies.
+        rounds = 200_000
+
+        def play(cfg):
+            rng = np.random.default_rng(cfg.master_seed)
+            bits = rng.integers(0, 2, size=cfg.rounds, dtype=np.uint8)
+            return rng.standard_normal(cfg.rounds) + bits, bits
+
+        monkeypatch.setattr(cli, "_play_fixed_game", play)
+        raw = {"dist": {"columns": [{"law": "gaussian", "mean": 0, "var": 1}] * 4},
+               "mechanism": {"mechanism": "empirical_mean"},
+               "n": 20, "target": {"values": [1.0, -0.5, 2.0, 0.0]}, "score": "lr_asymptotic",
+               "rounds": rounds, "master_seed": 94}
+        cfg = write_json(tmp_path / "cfg.json", raw)
+        out = tmp_path / "o"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", cfg, "-o", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out / "roc.csv").read_text().count("\n") == rounds + 2
+        assert peak < 80 * rounds
+
 class TestParser:
     def test_unknown_subcommand_exits_2(self, capsys):
         assert main(["audit-everything"]) == 2

@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 import oracles
-from mi_audit import game
+from mi_audit import game, theory
 from mi_audit import (
     Bernoulli,
     ConfigError,
@@ -532,6 +532,83 @@ class TestEmpiricalAdvantage:
         n0 = len(bits) - n1
         acc = (n1 * tpr + n0 * (1 - fpr)) / len(bits)
         assert empirical_advantage(rounds, tau) == pytest.approx(2 * acc - 1, abs=1e-12)
+
+
+class TestBlockedAnalysis:
+    """The ROC, the gaps and the advantages read per-round arrays a block of
+    theory._BLOCK_ROWS rows at a time. Across block boundaries they must
+    equal the one-array oracles, compared with ==, and not depend on the
+    block size."""
+
+    @staticmethod
+    def _game(count, seed):
+        # continuous scores, tie groups from rounding, and +-inf sentinels
+        rng = np.random.default_rng(seed)
+        bits = rng.integers(0, 2, size=count).astype(np.uint8)
+        bits[:2] = [0, 1]
+        scores = rng.normal(size=count) + 0.8 * bits
+        tied = rng.random(count) < 0.15
+        scores[tied] = np.round(scores[tied], 1)
+        scores[rng.choice(count, 40, replace=False)] = np.inf
+        scores[rng.choice(count, 40, replace=False)] = -np.inf
+        # a tie group of 1 % of the rounds where the sweep crosses from its
+        # first block to its second
+        scores[rng.choice(count, count // 100, replace=False)] = np.sort(scores)[-1 - min(
+            theory._BLOCK_ROWS, count - 1)]
+        return scores, bits
+
+    @staticmethod
+    def _readings(scores, bits, other):
+        curve = game._roc(scores, bits)
+        return (curve.points, curve.auc, curve.best_advantage(),
+                theory.sup_norm_gap(curve, 0.64), theory.polyline_gap(curve, game._roc(*other)),
+                theory.vertical_gap(curve, 0.64, alpha_min=0.01),
+                game._advantage(scores, bits, 0.4))
+
+    def test_roc_spans_blocks_and_matches_brute_force(self):
+        block = theory._BLOCK_ROWS
+        scores, bits = self._game(3 * block + 321, 2)
+        curve = game._roc(scores, bits)
+        want = oracles.roc_points_ref(scores, bits)
+        assert len(want) > 2 * block + 1
+        # a tie group straddles a block boundary of the sweep
+        swept = np.sort(scores)[::-1]
+        assert any(swept[lo - 1] == swept[lo] for lo in range(block, len(swept), block))
+        assert np.array_equal(curve.points, want)
+        assert curve.auc == float(np.trapezoid(want[:, 1], want[:, 0]))
+        assert curve.best_advantage() == float(np.max(np.abs(want[:, 1] - want[:, 0])))
+        assert not curve.points.flags.writeable
+        rounds = [ScoredRound(s, b) for s, b in zip(scores.tolist(), bits.tolist())]
+        assert np.array_equal(roc(rounds).points, want)
+
+    def test_gaps_and_advantage_match_one_array_oracles(self):
+        scores, bits = self._game(3 * theory._BLOCK_ROWS + 321, 3)
+        points = game._roc(scores, bits).points
+        other = game._roc(*self._game(5000, 4)).points
+        for m in (0.0, 0.64, 4.0):
+            want = oracles.polyline_gap_kdtree(points, theory._theory_polyline(m))
+            assert theory.sup_norm_gap(points, m) == want
+        assert theory.polyline_gap(points, other) == oracles.polyline_gap_kdtree(points, other)
+        for m, q in ((0.64, 1.0), (2.5, 0.5)):
+            curve = theory.TradeoffCurve.from_leakage(m, q=q)
+            for alpha_min in (0.0, 1e-3, 0.2):
+                assert (theory.vertical_gap(points, curve, alpha_min)
+                        == oracles.vertical_gap_ref(points, m, q, alpha_min))
+        for tau in (-np.inf, 0.0, 0.4, np.inf):
+            guesses = (scores > tau).astype(np.float64)
+            want = float(2.0 * np.mean(guesses == bits.astype(np.float64)) - 1.0)
+            assert game._advantage(scores, bits, tau) == want
+
+    def test_readings_do_not_depend_on_the_block_size(self, monkeypatch):
+        scores, bits = self._game(700, 5)
+        other = self._game(300, 6)
+        want = self._readings(scores, bits, other)
+        for rows in (2, 7, 10**9):
+            monkeypatch.setattr(game, "_BLOCK_ROWS", rows)
+            monkeypatch.setattr(theory, "_BLOCK_ROWS", rows)
+            got = self._readings(scores, bits, other)
+            assert np.array_equal(got[0], want[0])
+            assert got[1:] == want[1:]
 
 
 class TestGameConfig:

@@ -285,6 +285,19 @@ class TestScalarProduct:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_is_rejected_by_name(self, small_dist, bad):
+        # a NaN reference used to make every score nan, free or bound
+        ref = np.full(small_dist.d, 0.5)
+        ref[0] = bad
+        z = np.ones(small_dist.d)
+        msg = rf"^z_ref coordinates must be finite, got {bad} at 0$"
+        with pytest.raises(ValueError, match=msg):
+            scalar_product(np.full(small_dist.d, 0.5), z, ref)
+        with pytest.raises(ValueError, match=msg):
+            make_score("scalar_product", dist=small_dist, n=10, z_ref=ref)
+
+
 class TestNoisyScore:
     def test_gamma_zero_bitwise_equals_asymptotic(self, small_dist, om):
         rng = np.random.default_rng(27)
@@ -434,6 +447,14 @@ class TestScoreFactory:
         assert via_mech(mu_hat, z) == lr_noisy(mu_hat, z, om, 0.8, n)
         via_mech = make_score("lr_subsampled", dist=small_dist, n=n, mech=SubsampledMean(0.4))
         assert via_mech(mu_hat, z) == lr_subsampled(mu_hat, z, om, 0.4, n)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_misspecified_rejects_non_finite_guess_by_name(self, small_dist, bad):
+        z_guess = np.zeros(small_dist.d)
+        z_guess[3] = bad
+        msg = rf"^z_targ coordinates must be finite, got {bad} at 3$"
+        with pytest.raises(ValueError, match=msg):
+            make_score("lr_misspecified", dist=small_dist, n=10, z_targ=z_guess)
 
     def test_misspecified_ignores_round_target(self, small_dist):
         z_guess = np.zeros(small_dist.d)

@@ -633,6 +633,8 @@ class TestPolylineGapExact:
                 polyline_gap(bad, good)
             with pytest.raises(ValueError, match="non-decreasing"):
                 sup_norm_gap(bad, 1.0)
+            with pytest.raises(ValueError, match="non-decreasing"):
+                vertical_gap(bad, 1.0)
 
     def test_import_leaves_scipy_spatial_unloaded(self):
         code = "import sys, mi_audit; print('scipy.spatial' in sys.modules)"
